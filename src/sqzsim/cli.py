@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -49,7 +50,6 @@ from .pulsed import (
     PulsedWindow,
     clamp_to_shot_below,
     flat_window_variance,
-    improvement_factor,
     pulsed_variance_with_error,
 )
 from .quantum import ModeVariancePair, check_physicality, duan_inseparability
@@ -92,11 +92,16 @@ def _write_csv(path: Path, header: str, columns) -> Path:
     return path
 
 
-def _detected_pair(cfg: RunConfig, f):
-    """Dark-corrected detected squeezed variances of both modes."""
-    s_plus = observe_corrected(total_spectrum(cfg.opo, cfg.noise, "plus"), cfg.detection)
-    s_minus = observe_corrected(total_spectrum(cfg.opo, cfg.noise, "minus"), cfg.detection)
-    return ModeVariancePair(s_plus=s_plus(f), s_minus=s_minus(f))
+def _mode_spectra(cfg: RunConfig):
+    """Source spectra of both modes and their dark-corrected detected views."""
+    src = {m: total_spectrum(cfg.opo, cfg.noise, m) for m in ("plus", "minus")}
+    return src, {m: observe_corrected(s, cfg.detection) for m, s in src.items()}
+
+
+def _inseparability(spectra: dict, f):
+    return duan_inseparability(
+        ModeVariancePair(s_plus=spectra["plus"](f), s_minus=spectra["minus"](f))
+    )
 
 
 def _sweep_config(cfg: RunConfig, args) -> SweepConfig:
@@ -122,8 +127,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> None:
     modes = ("plus", "minus") if args.mode == "both" else (args.mode,)
     freqs = sweep.freqs
 
-    src = {m: total_spectrum(cfg.opo, cfg.noise, m) for m in ("plus", "minus")}
-    det = {m: observe_corrected(src[m], cfg.detection) for m in ("plus", "minus")}
+    src, det = _mode_spectra(cfg)
 
     written = [
         _write_csv(
@@ -134,20 +138,23 @@ def cmd_spectrum(cfg: RunConfig, args) -> None:
         )
     ]
 
-    insep = duan_inseparability(
-        ModeVariancePair(s_plus=det["plus"](freqs), s_minus=det["minus"](freqs))
-    )
     written.append(
-        _write_csv(out / "inseparability.csv", "freq_hz,inseparability", (freqs, insep))
+        _write_csv(out / "inseparability.csv", "freq_hz,inseparability",
+                   (freqs, _inseparability(det, freqs)))
     )
 
-    seeds = _sub_seeds(cfg.require_seed(), 2)
-    for mode, seed in zip(("plus", "minus"), seeds):
+    # sub-seeds 0/1 drive the plain plus/minus traces and 2/3 the
+    # dark-corrected ones; generate_state is prefix-stable, so drawing more
+    # words never changes the first ones
+    seeds = _sub_seeds(cfg.require_seed(), 4)
+    for k, mode in enumerate(("plus", "minus")):
         if mode not in modes:
             continue
-        normalized = observed_relative_to_shot(src[mode], cfg.detection)
-        trace = emulate_sweep(normalized, sweep, seed)
-        written += _emit_trace(trace, out, f"trace_{mode}", args.format)
+        views = (("", observed_relative_to_shot(src[mode], cfg.detection)),
+                 ("_corrected", det[mode]))
+        for (suffix, spectrum), seed in zip(views, seeds[k::2]):
+            trace = emulate_sweep(spectrum, sweep, seed)
+            written += _emit_trace(trace, out, f"trace_{mode}{suffix}", args.format)
 
     for p in written:
         print(p)
@@ -184,7 +191,7 @@ def _pulsed_spectrum(cfg: RunConfig, args):
     if args.example:
         return EXAMPLE_PIECEWISE, "example: shot-limited below 50 kHz, 3 dB squeezed above"
     mode = args.model or "minus"
-    spec = observe_corrected(total_spectrum(cfg.opo, cfg.noise, mode), cfg.detection)
+    spec = _mode_spectra(cfg)[1][mode]
     desc = f"detected model spectrum ({mode} mode)"
     if args.assume_feedback:
         spec = clamp_to_shot_below(spec, cfg.noise.lf_knee)
@@ -229,7 +236,16 @@ def cmd_pulsed(cfg: RunConfig, args) -> None:
     print(path)
 
 
-def _synth_series(cfg: RunConfig, mode: str, sample_rate: float, n: int) -> TimeSeries:
+def detected_record(
+    cfg: RunConfig, mode: str, sample_rate: float, n_samples: int
+) -> TimeSeries:
+    """Photocurrent record of one mode ("plus", "minus") or of the blocked
+    source ("shot"), as the detector delivers it.
+
+    The losses and the signal are shaped into one series from sub-seed 0;
+    the electronic noise is added as independent white samples from
+    sub-seed 1. The record carries cfg's seed.
+    """
     seed = cfg.require_seed()
     shaped_seed, dark_seed = _sub_seeds(seed, 2)
     if mode == "shot":
@@ -237,13 +253,12 @@ def _synth_series(cfg: RunConfig, mode: str, sample_rate: float, n: int) -> Time
     else:
         lossless_dark = dataclasses.replace(cfg.detection, dark_noise_db=-math.inf)
         base = observe(total_spectrum(cfg.opo, cfg.noise, mode), lossless_dark)
-    ts = synthesize(base, sample_rate, n, shaped_seed)
+    ts = synthesize(base, sample_rate, n_samples, shaped_seed)
     samples = ts.samples
     dark = cfg.detection.dark_linear
     if dark > 0:
-        # electronic noise enters the record as independent white samples
         rng = np.random.default_rng(dark_seed)
-        samples = samples + math.sqrt(dark) * rng.standard_normal(n)
+        samples = samples + math.sqrt(dark) * rng.standard_normal(n_samples)
     return TimeSeries(sample_rate=sample_rate, samples=samples, seed=seed)
 
 
@@ -253,7 +268,14 @@ def cmd_synth(cfg: RunConfig, args) -> None:
         raise ConfigError(f"key '--n-samples': must be a power of two, got {n}")
     if not args.sample_rate > 0:
         raise ConfigError("key '--sample-rate': must be positive")
-    ts = _synth_series(cfg, args.mode, args.sample_rate, n)
+    need = 8 * n
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(
+            f"key '--n-samples': a record of {n} samples needs {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
+    ts = detected_record(cfg, args.mode, args.sample_rate, n)
     out = _out_dir(cfg)
     path = out / f"timeseries_{args.mode}.sqts"
     write_timeseries(path, ts)
@@ -288,19 +310,16 @@ def cmd_criteria(cfg: RunConfig, args) -> None:
     if not f0 > 0:
         raise ConfigError(f"key '--freq': must be positive, got {f0}")
 
-    pair_det = _detected_pair(cfg, f0)
-    insep_det = duan_inseparability(pair_det)
-    src = {m: total_spectrum(cfg.opo, cfg.noise, m) for m in ("plus", "minus")}
-    insep_src = duan_inseparability(
-        ModeVariancePair(s_plus=src["plus"](f0), s_minus=src["minus"](f0))
-    )
+    src, det = _mode_spectra(cfg)
+    insep_det = _inseparability(det, f0)
+    insep_src = _inseparability(src, f0)
 
     phys = check_physicality(spectral_covariance(cfg.opo, f0))
 
     crossings = {}
+    lo, hi = 5e3, min(5e5, 0.8 * cfg.noise.relax_center)
     for mode in ("plus", "minus"):
         g = lambda f: src[mode](f) - 1.0
-        lo, hi = 5e3, min(5e5, 0.8 * cfg.noise.relax_center)
         if g(lo) > 0 > g(hi):
             crossings[mode] = float(brentq(g, lo, hi))
         else:
@@ -319,7 +338,8 @@ def cmd_criteria(cfg: RunConfig, args) -> None:
     print(f"inseparability (detected, dark-corrected) at {f0:.6g} Hz: {insep_det:.4f}")
     print(f"inseparability (source) at {f0:.6g} Hz: {insep_src:.4f}")
     for mode, fx in crossings.items():
-        shown = f"{fx / 1e3:.2f} kHz" if fx else "not bracketed in [5, 500] kHz"
+        shown = (f"{fx / 1e3:.2f} kHz" if fx
+                 else f"not bracketed in [{lo / 1e3:g}, {hi / 1e3:g}] kHz")
         print(f"shot-noise-limit crossing ({mode} mode): {shown}")
     print(f"covariance physical at {f0:.6g} Hz: {phys.ok} ({phys.detail})")
 

@@ -113,7 +113,13 @@ def observed_relative_to_shot(spectrum, d: DetectionParams) -> Spectrum:
     This is what a normalized analyzer trace shows when neither the trace
     nor the blocked-source reference is dark-corrected.
     """
-    return observe(spectrum, d) / observe(Spectrum.flat(1.0), d)
+    eta = effective_efficiency(d)
+    dark = d.dark_linear
+    shot = eta + (1.0 - eta) + dark
+    return Spectrum(
+        lambda f: (eta * np.asarray(spectrum(f)) + (1.0 - eta) + dark) / shot,
+        "observed relative to shot",
+    )
 
 
 def to_db(v) -> float | np.ndarray:

@@ -18,15 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum import rotate_basis
-from .spectra import Spectrum
 
 __all__ = [
     "AboveThresholdError",
     "OpoParams",
     "squeezed_variance",
     "antisqueezed_variance",
-    "squeezed_spectrum",
-    "antisqueezed_spectrum",
     "spectral_covariance",
 ]
 
@@ -98,16 +95,6 @@ def antisqueezed_variance(params: OpoParams, f) -> float | np.ndarray:
     eta = params.escape_efficiency
     out = eta * (b / a) + (1.0 - eta)
     return float(out) if out.ndim == 0 else out
-
-
-def squeezed_spectrum(params: OpoParams) -> Spectrum:
-    return Spectrum(lambda f: squeezed_variance(params, f), "OPO squeezed quadrature")
-
-
-def antisqueezed_spectrum(params: OpoParams) -> Spectrum:
-    return Spectrum(
-        lambda f: antisqueezed_variance(params, f), "OPO anti-squeezed quadrature"
-    )
 
 
 def spectral_covariance(params: OpoParams, f: float) -> np.ndarray:

@@ -40,8 +40,8 @@ __all__ = [
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
 
-_DEFAULT_LOBES = 10_000
-_DEFAULT_REL_TOL = 1e-6
+_N_LOBES = 10_000
+_REL_TOL = 1e-6
 _MAX_REFINEMENTS = 4000
 
 
@@ -127,19 +127,13 @@ def _gl_panels(g, edges, rule):
     return 0.5 * widths * (vals * weights[None, :]).sum(axis=1)
 
 
-def pulsed_variance_with_error(
-    spectrum,
-    window: PulsedWindow,
-    *,
-    n_lobes: int = _DEFAULT_LOBES,
-    rel_tol: float = _DEFAULT_REL_TOL,
-) -> tuple[float, float]:
+def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, float]:
     """Window-filtered noise variance plus a conservative error estimate."""
     t = window.duration
-    cutoff = n_lobes / t
+    cutoff = _N_LOBES / t
     g = _integrand(spectrum, t)
 
-    edges = np.arange(n_lobes + 1, dtype=float) / t
+    edges = np.arange(_N_LOBES + 1, dtype=float) / t
     breakpoints = np.asarray(getattr(spectrum, "breakpoints", ()), dtype=float)
     inside = breakpoints[(breakpoints > 0) & (breakpoints < cutoff)]
     if inside.size:
@@ -151,10 +145,10 @@ def pulsed_variance_with_error(
     # tail beyond the last lobe: S approximately constant there, so use the
     # exact remainder of the sinc^2 integral via the sine integral
     s_tail = float(spectrum(cutoff))
-    remainder = (t / np.pi) * (np.pi / 2.0 - sici(2.0 * np.pi * n_lobes)[0])
+    remainder = (t / np.pi) * (np.pi / 2.0 - sici(2.0 * np.pi * _N_LOBES)[0])
     tail = s_tail * remainder
     s_far = float(spectrum(1e3 * cutoff))
-    tail_err = (abs(s_tail - s_far) + 1e-12 * s_tail) * t / (np.pi**2 * n_lobes)
+    tail_err = (abs(s_tail - s_far) + 1e-12 * s_tail) * t / (np.pi**2 * _N_LOBES)
 
     # max-heap of panels keyed by error estimate; running sums drive the
     # convergence test, the reproducible ordered sum happens at the end
@@ -167,7 +161,7 @@ def pulsed_variance_with_error(
     err_sum = float(np.sum(np.abs(fine - coarse))) + tail_err
 
     refinements = 0
-    while err_sum > rel_tol * abs(value_sum) and abs(value_sum) != 0.0:
+    while err_sum > _REL_TOL * abs(value_sum) and abs(value_sum) != 0.0:
         if refinements >= _MAX_REFINEMENTS:
             raise RuntimeError(
                 "window-variance quadrature did not reach the requested tolerance; "
@@ -193,29 +187,15 @@ def pulsed_variance_with_error(
     return value, err
 
 
-def pulsed_variance(
-    spectrum,
-    window: PulsedWindow,
-    *,
-    n_lobes: int = _DEFAULT_LOBES,
-    rel_tol: float = _DEFAULT_REL_TOL,
-) -> float:
+def pulsed_variance(spectrum, window: PulsedWindow) -> float:
     """Noise variance of a window-T measurement of the given source."""
-    value, _ = pulsed_variance_with_error(
-        spectrum, window, n_lobes=n_lobes, rel_tol=rel_tol
-    )
+    value, _ = pulsed_variance_with_error(spectrum, window)
     return value
 
 
-def improvement_factor(
-    spectrum,
-    window: PulsedWindow,
-    *,
-    n_lobes: int = _DEFAULT_LOBES,
-    rel_tol: float = _DEFAULT_REL_TOL,
-) -> float:
+def improvement_factor(spectrum, window: PulsedWindow) -> float:
     """Shot-limited window variance divided by the modeled one."""
-    value = pulsed_variance(spectrum, window, n_lobes=n_lobes, rel_tol=rel_tol)
+    value = pulsed_variance(spectrum, window)
     return flat_window_variance(1.0, window) / value
 
 

@@ -19,18 +19,15 @@ __all__ = ["Spectrum", "TabulatedSpectrum"]
 def _eval_like(fn: Callable, f) -> float | np.ndarray:
     """Evaluate fn on f, returning a float for scalar input."""
     arr = np.asarray(f, dtype=float)
-    out = np.asarray(fn(arr), dtype=float)
-    out = np.broadcast_to(out, arr.shape) if out.shape != arr.shape else out
-    if arr.ndim == 0:
-        return float(out)
-    return np.array(out, dtype=float)
+    out = fn(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 class Spectrum:
-    """Wraps a vectorized frequency -> variance function with arithmetic sugar.
+    """Wraps a vectorized frequency -> variance function and labels it.
 
-    Addition, scalar multiplication and pointwise division build new lazy
-    spectra, so measurement-chain maps compose without tabulating anything.
+    Measurement-chain maps compose by wrapping one spectrum's call in the
+    next, so nothing is tabulated.
     """
 
     def __init__(self, fn: Callable, label: str = ""):
@@ -45,23 +42,6 @@ class Spectrum:
         value = float(value)
         return cls(lambda f: np.full_like(np.asarray(f, dtype=float), value),
                    label or f"flat {value}")
-
-    def __add__(self, other):
-        other_fn = other if callable(other) else (lambda f, v=float(other): v)
-        return Spectrum(lambda f: np.asarray(self._fn(f)) + np.asarray(other_fn(f)))
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar):
-        scalar = float(scalar)
-        return Spectrum(lambda f: scalar * np.asarray(self._fn(f)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if callable(other):
-            return Spectrum(lambda f: np.asarray(self._fn(f)) / np.asarray(other(f)))
-        return self * (1.0 / float(other))
 
     def __repr__(self):
         return f"Spectrum({self.label or self._fn!r})"

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import dataclasses
-import math
 import time
 
 import numpy as np
@@ -19,7 +18,6 @@ from sqzsim import (
     PulsedWindow,
     Spectrum,
     SweepConfig,
-    TimeSeries,
     antisqueezed_variance,
     apply_loss,
     check_physicality,
@@ -41,6 +39,7 @@ from sqzsim import (
     total_spectrum,
     welch_psd,
 )
+from sqzsim.cli import detected_record
 from sqzsim.dsp import Trace
 
 
@@ -176,28 +175,13 @@ def test_criterion_4_pulsed_example():
     crit.conclude()
 
 
-def _observed_record(cfg, mode, fs, n, seeds):
-    """Detected record: shaped losses-plus-signal series plus white dark noise,
-    mirroring the synth command."""
-    no_dark = dataclasses.replace(cfg.detection, dark_noise_db=-math.inf)
-    if mode == "shot":
-        base = Spectrum.flat(1.0)
-    else:
-        base = observe(total_spectrum(cfg.opo, cfg.noise, mode), no_dark)
-    ts = synthesize(base, fs, n, seeds[0])
-    dark = cfg.detection.dark_linear
-    rng = np.random.default_rng(seeds[1])
-    samples = ts.samples + math.sqrt(dark) * rng.standard_normal(n)
-    return TimeSeries(sample_rate=fs, samples=samples, seed=seeds[0])
-
-
 def test_criterion_5_dsp_round_trip():
     crit = _Criterion(5, 30.0, "synthesized record reproduces the detected spectrum")
     cfg = default_config()
     fs, n, rbw = 25e6, 2**22, 100e3
 
-    ts_opo = _observed_record(cfg, "minus", fs, n, (101, 102))
-    ts_shot = _observed_record(cfg, "shot", fs, n, (103, 104))
+    ts_opo = detected_record(dataclasses.replace(cfg, seed=101), "minus", fs, n)
+    ts_shot = detected_record(dataclasses.replace(cfg, seed=103), "shot", fs, n)
 
     def trace_of(ts):
         psd = welch_psd(ts, rbw)

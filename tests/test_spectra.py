@@ -12,16 +12,6 @@ def test_flat_scalar_and_array():
     assert_allclose(s(np.array([1.0, 2.0, 3.0])), 0.5)
 
 
-def test_arithmetic_composition():
-    s = Spectrum.flat(1.0) + Spectrum.flat(0.5)
-    assert s(10.0) == 1.5
-    assert (2.0 * s)(10.0) == 3.0
-    assert (s + 1.0)(10.0) == 2.5
-    ratio = Spectrum.flat(1.0) / Spectrum.flat(4.0)
-    assert ratio(10.0) == 0.25
-    assert (s / 3.0)(10.0) == 0.5
-
-
 def test_tabulated_interpolates_and_clamps():
     t = TabulatedSpectrum([1.0, 2.0, 4.0], [10.0, 20.0, 40.0])
     assert t(1.5) == pytest.approx(15.0)
