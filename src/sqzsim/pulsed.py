@@ -9,12 +9,15 @@ For a flat spectrum S = c the integral is c T / 2, so the improvement factor
 of a source over a shot-limited one is (T/2) / sigma^2.
 
 The integrand oscillates with period 1/T, which stalls generic adaptive
-quadrature; instead the integration is split at the sinc zeros nu = k/T
-(and at any spectrum breakpoints), each piece handled by Gauss-Legendre
-panels with per-interval error control, and the tail beyond the last lobe
-is added analytically through the sine integral assuming the spectrum has
-flattened out there. The residual of that assumption is envelope-bounded
-and included in the reported error estimate.
+quadrature, so the half-line is split at x = N/T (N = 1000 lobes). The near
+field nu < x gets one panel per sinc lobe [k/T, (k+1)/T], also split at any
+spectrum breakpoints. The far field nu > x takes the lobe-averaged kernel
+1/(2 pi^2 nu^2) in w = x/nu, where the integrand is S(x/w) / (2 pi^2 x) on
+(0, 1] and breakpoints beyond x are panel edges. Gauss-Legendre panels of
+both fields (16 nodes, checked against 8) share one heap that bisects the
+worst panel until the summed estimate meets the relative tolerance. The
+returned error adds what the lobe average drops: S(x) T / (4 pi^4 N^3) for
+the smooth far field and |dS| / (4 pi^3 T b^2) per jump dS at a b > x.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from .spectra import Spectrum
 
@@ -40,7 +42,7 @@ __all__ = [
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
 
-_N_LOBES = 10_000
+_N_LOBES = 1_000
 _REL_TOL = 1e-6
 _MAX_REFINEMENTS = 4000
 
@@ -52,8 +54,8 @@ class PulsedWindow:
     duration: float
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError("window duration must be positive")
+        if not (np.isfinite(self.duration) and self.duration > 0):
+            raise ValueError("window duration must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -75,13 +77,14 @@ class PiecewiseSpectrum:
             raise ValueError("need exactly one value per breakpoint")
         if len(bp) == 0:
             raise ValueError("need at least one breakpoint; use a flat spectrum otherwise")
-        if bp[0] <= 0 or any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be positive and strictly ascending")
-        if any(v <= 0 for v in vals) or not self.tail_value > 0:
-            raise ValueError("segment values must be strictly positive")
+        if not all(b1 < b2 for b1, b2 in zip((0.0,) + bp, bp + (np.inf,))):
+            raise ValueError("breakpoints must be finite, positive and strictly ascending")
+        tail = float(self.tail_value)
+        if not all(0 < v < np.inf for v in vals + (tail,)):
+            raise ValueError("segment values must be finite and strictly positive")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "tail_value", float(self.tail_value))
+        object.__setattr__(self, "tail_value", tail)
 
     def __call__(self, f):
         f = np.asarray(f, dtype=float)
@@ -95,27 +98,21 @@ def flat_window_variance(level: float, window: PulsedWindow) -> float:
     return float(level) * window.duration / 2.0
 
 
-def _integrand(spectrum, t_window):
-    def g(nu):
+def _checked(spectrum):
+    def s(nu):
         with np.errstate(over="ignore"):
-            s = np.asarray(spectrum(nu), dtype=float)
-        if np.any(~np.isfinite(s)):
+            out = np.asarray(spectrum(nu), dtype=float)
+        if np.any(~np.isfinite(out)):
             raise ValueError(
                 "spectrum is unbounded on the integration range; if it diverges "
                 "at low frequency, clamp it (e.g. clamp_to_shot_below) to model "
                 "a feedback-stabilized source"
             )
-        if np.any(s < 0):
+        if np.any(out < 0):
             raise ValueError("spectrum is negative on the integration range")
-        return s * t_window**2 * np.sinc(nu * t_window) ** 2
+        return out
 
-    return g
-
-
-def _gl_panel(g, a, b, rule):
-    nodes, weights = rule
-    x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    return 0.5 * (b - a) * float(np.sum(weights * g(x)))
+    return s
 
 
 def _gl_panels(g, edges, rule):
@@ -130,35 +127,41 @@ def _gl_panels(g, edges, rule):
 def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, float]:
     """Window-filtered noise variance plus a conservative error estimate."""
     t = window.duration
-    cutoff = _N_LOBES / t
-    g = _integrand(spectrum, t)
+    x = _N_LOBES / t
+    s = _checked(spectrum)
+    # near field in nu; far field in w = x/nu under the lobe-averaged kernel
+    parts = (
+        lambda nu: s(nu) * t**2 * np.sinc(nu * t) ** 2,
+        lambda w: s(x / w) / (2.0 * np.pi**2 * x),
+    )
+    bp = np.asarray(getattr(spectrum, "breakpoints", ()), dtype=float)
+    far_bp = bp[bp > x]
+    edge_sets = (
+        np.unique(np.concatenate([np.arange(_N_LOBES + 1) / t, bp[(bp > 0) & (bp < x)]])),
+        np.unique(np.concatenate([np.linspace(0.0, 1.0, 9), x / far_bp])),
+    )
 
-    edges = np.arange(_N_LOBES + 1, dtype=float) / t
-    breakpoints = np.asarray(getattr(spectrum, "breakpoints", ()), dtype=float)
-    inside = breakpoints[(breakpoints > 0) & (breakpoints < cutoff)]
-    if inside.size:
-        edges = np.unique(np.concatenate([edges, inside]))
-
-    coarse = _gl_panels(g, edges, _GL8)
-    fine = _gl_panels(g, edges, _GL16)
-
-    # tail beyond the last lobe: S approximately constant there, so use the
-    # exact remainder of the sinc^2 integral via the sine integral
-    s_tail = float(spectrum(cutoff))
-    remainder = (t / np.pi) * (np.pi / 2.0 - sici(2.0 * np.pi * _N_LOBES)[0])
-    tail = s_tail * remainder
-    s_far = float(spectrum(1e3 * cutoff))
-    tail_err = (abs(s_tail - s_far) + 1e-12 * s_tail) * t / (np.pi**2 * _N_LOBES)
+    # what the lobe average drops, beyond reach of refinement: the next term
+    # of the flat tail's series, and the boundary term of each jump beyond x
+    jumps = np.abs(s(far_bp) - s(np.nextafter(far_bp, 0.0)))
+    averaging_err = float(
+        s(x) * t / (4.0 * np.pi**4 * _N_LOBES**3)
+        + np.sum(jumps / (4.0 * np.pi**3 * t * far_bp**2))
+    )
 
     # max-heap of panels keyed by error estimate; running sums drive the
     # convergence test, the reproducible ordered sum happens at the end
-    heap = [
-        (-abs(f - c), a, b, f)
-        for a, b, c, f in zip(edges[:-1], edges[1:], coarse, fine)
-    ]
-    heapq.heapify(heap)
-    value_sum = float(np.sum(fine)) + tail
-    err_sum = float(np.sum(np.abs(fine - coarse))) + tail_err
+    heap = []
+
+    def add(side, edges):
+        fine = _gl_panels(parts[side], edges, _GL16)
+        err = np.abs(fine - _gl_panels(parts[side], edges, _GL8))
+        for item in zip(-err, edges[:-1], edges[1:], fine, [side] * fine.size):
+            heapq.heappush(heap, item)
+        return float(np.sum(fine)), float(np.sum(err))
+
+    (v_near, e_near), (v_far, e_far) = (add(i, e) for i, e in enumerate(edge_sets))
+    value_sum, err_sum = v_near + v_far, e_near + e_far + averaging_err
 
     refinements = 0
     while err_sum > _REL_TOL * abs(value_sum) and abs(value_sum) != 0.0:
@@ -169,21 +172,16 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
                 "clamp_to_shot_below, to model a feedback-stabilized source)"
             )
         refinements += 1
-        neg_err, a, b, f_old = heapq.heappop(heap)
-        value_sum -= f_old
-        err_sum += neg_err
-        mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            f16 = _gl_panel(g, lo, hi, _GL16)
-            f8 = _gl_panel(g, lo, hi, _GL8)
-            heapq.heappush(heap, (-abs(f16 - f8), lo, hi, f16))
-            value_sum += f16
-            err_sum += abs(f16 - f8)
+        neg_err, a, b, f_old, side = heapq.heappop(heap)
+        dv, de = add(side, np.array([a, 0.5 * (a + b), b]))
+        value_sum += dv - f_old
+        err_sum += de + neg_err
 
-    # ascending-frequency pairwise summation keeps reruns bit-identical
-    panels = sorted((a, f) for _, a, _b, f in heap)
-    value = float(np.sum(np.array([f for _, f in panels]))) + tail
-    err = float(np.sum(np.array([-e for e, *_ in heap]))) + tail_err
+    # near field then far field, each by panel start, summed pairwise: reruns
+    # stay bit-identical
+    panels = sorted((side, a, f) for _, a, _b, f, side in heap)
+    value = float(np.sum(np.array([f for *_, f in panels])))
+    err = float(np.sum(np.array([-e for e, *_ in heap]))) + averaging_err
     return value, err
 
 

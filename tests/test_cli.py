@@ -137,6 +137,38 @@ def test_pulsed_model_requires_feedback_clamp(tmp_path, capsys):
     assert doc["improvement_factor"] > 1.0
 
 
+def test_pulsed_long_window_on_clamped_model(tmp_path):
+    assert run("--out", tmp_path, "pulsed", "--model", "minus",
+               "--assume-feedback", "--T", 1e-3) == 0
+    doc = json.loads((tmp_path / "pulsed_report.json").read_text())
+    jsonschema.validate(doc, schema("pulsed_report.schema.json"))
+    assert doc["quadrature_error"] <= 1e-6 * doc["pulsed_variance"]
+
+
+@pytest.mark.parametrize("t", ["inf", "nan", "0", "-1e-6"])
+def test_pulsed_rejects_window_that_is_not_finite_and_positive(tmp_path, capsys, t):
+    assert run("--out", tmp_path, "pulsed", "--example", f"--T={t}") == 2
+    assert "'--T'" in capsys.readouterr().err
+    assert not (tmp_path / "pulsed_report.json").exists()
+
+
+@pytest.mark.parametrize("level", ["0", "-1", "inf", "nan"])
+def test_pulsed_rejects_flat_level_that_is_not_finite_and_positive(tmp_path, capsys, level):
+    assert run("--out", tmp_path, "pulsed", f"--flat={level}") == 2
+    assert "'--flat'" in capsys.readouterr().err
+    assert not (tmp_path / "pulsed_report.json").exists()
+
+
+@pytest.mark.parametrize("inline", [
+    '{"breakpoints": [NaN], "values": [1.0], "tail_value": 0.5}',
+    '{"breakpoints": [5e4], "values": [NaN], "tail_value": 0.5}',
+    '{"breakpoints": [5e4], "values": [1.0], "tail_value": Infinity}',
+])
+def test_pulsed_rejects_non_finite_piecewise(tmp_path, capsys, inline):
+    assert run("--out", tmp_path, "pulsed", "--piecewise", inline) == 2
+    assert "'--piecewise'" in capsys.readouterr().err
+
+
 def test_pulsed_conflicting_sources(tmp_path):
     assert run("--out", tmp_path, "pulsed", "--flat", 1.0, "--example") == 2
 
@@ -171,14 +203,37 @@ def test_synth_different_seed_differs(tmp_path):
     ).read_bytes()
 
 
-def test_synth_record_larger_than_memory_is_config_error(tmp_path, capsys, monkeypatch):
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("synthesize was reached")
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("synthesize was reached")
 
-    monkeypatch.setattr(cli, "synthesize", must_not_run)
+
+def test_synth_record_larger_than_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "synthesize", _must_not_run)
     assert run("--out", tmp_path, "--seed", 1, "synth", "--n-samples", 2**40) == 2
     err = capsys.readouterr().err
     assert str(8 * 2**40) in err and "physical memory" in err
+
+
+def test_synth_peak_larger_than_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    # 16 MiB of physical memory holds the 8 MiB record of 2^20 samples, but
+    # not the several records' worth that synthesis peaks at
+    n, page = 2**20, 4096
+    pages = {"SC_PHYS_PAGES": 2 * 8 * n // page, "SC_PAGE_SIZE": page}
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(cli, "synthesize", _must_not_run)
+    assert 8 * n < 2 * 8 * n < cli.SYNTH_PEAK_PER_RECORD * 8 * n
+    assert run("--out", tmp_path, "--seed", 1, "synth", "--n-samples", n) == 2
+    err = capsys.readouterr().err
+    assert str(cli.SYNTH_PEAK_PER_RECORD * 8 * n) in err and "physical memory" in err
+
+
+@pytest.mark.parametrize("given", ["nan", "inf", "-inf", "1.5", "0", "1", "3", "-4", "65537"])
+def test_synth_rejects_n_samples_that_are_not_powers_of_two(tmp_path, capsys, monkeypatch,
+                                                          given):
+    monkeypatch.setattr(cli, "synthesize", _must_not_run)
+    assert run("--out", tmp_path, "--seed", 1, "synth", f"--n-samples={given}") == 2
+    err = capsys.readouterr().err
+    assert "'--n-samples'" in err and f"got {given}" in err
 
 
 def test_synth_requires_seed(tmp_path, capsys):

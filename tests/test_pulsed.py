@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqzsim import (
+    OpoParams,
     PiecewiseSpectrum,
     PulsedWindow,
     Spectrum,
@@ -12,6 +15,7 @@ from sqzsim import (
     improvement_factor,
     pulsed_variance,
     pulsed_variance_with_error,
+    squeezed_variance,
 )
 
 T_1US = PulsedWindow(duration=1e-6)
@@ -112,7 +116,50 @@ def test_clamp_only_acts_below_knee():
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        PulsedWindow(duration=0.0)
-    with pytest.raises(ValueError):
-        PulsedWindow(duration=-1e-6)
+    for bad in (0.0, -1e-6, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            PulsedWindow(duration=bad)
+
+
+# closed-form oracles over windows from 1 ns to 10 ms; the engine switches to
+# the lobe-averaged far field at 1000 / T, so the long windows put the whole
+# OPO Lorentzian into it
+ORACLE_WINDOWS = np.logspace(-9, -2, 15)
+
+
+def _assert_matches(spectrum, t, exact):
+    value, err = pulsed_variance_with_error(spectrum, PulsedWindow(duration=t))
+    assert abs(value - exact) <= 1e-7 * exact
+    assert abs(value - exact) <= err
+
+
+@pytest.mark.parametrize("t", ORACLE_WINDOWS)
+def test_opo_term_matches_wiener_khinchin_closed_form(t):
+    # sigma^2 = 2 int_0^T (T - tau) R(tau) dtau for the OPO's Lorentzian
+    opo = OpoParams()
+    eta, sig, fc = opo.escape_efficiency, opo.pump_ratio, opo.cavity_hwhm
+    k = 2 * math.pi * fc * (1 + sig)
+    exact = t / 2 - (4 * eta * sig * math.pi * fc / (1 + sig)) * (
+        t / k + math.expm1(-k * t) / k**2
+    )
+    _assert_matches(Spectrum(lambda f: squeezed_variance(opo, f)), t, exact)
+
+
+@pytest.mark.parametrize("t", ORACLE_WINDOWS)
+def test_piecewise_bands_match_sine_integral_closed_form(t):
+    from scipy.special import sici
+
+    # one breakpoint lies beyond 1000 / T, off the sinc zeros, where only the
+    # per-breakpoint term of the error budget covers the lobe average
+    spec = PiecewiseSpectrum(
+        breakpoints=sorted((50e3, 2e6, 1000.25 / t)), values=(1.0, 0.5, 0.8),
+        tail_value=0.6,
+    )
+
+    def band(x):  # int_0^x sin^2(u) / u^2 du
+        return sici(2 * x)[0] - math.sin(x) ** 2 / x
+
+    upto = [band(math.pi * b * t) for b in spec.breakpoints] + [math.pi / 2]
+    levels = spec.values + (spec.tail_value,)
+    exact = t / math.pi * sum(v * (hi - lo) for v, lo, hi in zip(levels, [0.0] + upto, upto))
+    _assert_matches(spec, t, exact)
