@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .classical_noise import total_spectrum
 from .config import ConfigError, RunConfig, default_config, load_config
@@ -56,9 +55,9 @@ from .quantum import ModeVariancePair, check_physicality, duan_inseparability
 from .spectra import Spectrum
 
 # peak memory of `synth` in record sizes (8 bytes per sample), above the
-# import baseline; measured with numpy 2.4 on Linux x86-64: 7.0x (330 MB peak
-# for a 32 MB record at n = 2^22, 105 MB after import; 7.1x at n = 2^20),
-# rounded up
+# import baseline; measured with numpy 2.4 on Linux x86-64: 7.2x (262 MB peak
+# for a 32 MB record at n = 2^22, 31 MB after import; 7.8x at n = 2^20, where
+# the fixed overhead weighs more), rounded up
 SYNTH_PEAK_PER_RECORD = 8
 
 # piecewise model of the stabilized source: shot-limited below 50 kHz,
@@ -67,6 +66,13 @@ EXAMPLE_PIECEWISE = PiecewiseSpectrum(
     breakpoints=(50e3,), values=(1.0,), tail_value=10 ** (-3 / 10)
 )
 EXAMPLE_REFERENCE_FACTOR = 1.7
+
+
+def _finite_positive(flag: str, value: float, what: str) -> float:
+    """The value of a float flag, or a ConfigError naming the flag."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"key '{flag}': {what} must be finite and positive, got {value}")
+    return value
 
 
 def _sub_seeds(seed: int, n: int) -> list[int]:
@@ -112,15 +118,16 @@ def _inseparability(spectra: dict, f):
 
 def _sweep_config(cfg: RunConfig, args) -> SweepConfig:
     fields = {f.name: getattr(cfg.analyzer, f.name) for f in dataclasses.fields(SweepConfig)}
-    for name, arg in (
-        ("start", args.start),
-        ("stop", args.stop),
-        ("n_points", args.points),
-        ("rbw", args.rbw),
-        ("vbw", args.vbw),
+    for name, flag, arg in (
+        ("start", "--start", args.start),
+        ("stop", "--stop", args.stop),
+        ("rbw", "--rbw", args.rbw),
+        ("vbw", "--vbw", args.vbw),
     ):
         if arg is not None:
-            fields[name] = arg
+            fields[name] = _finite_positive(flag, arg, "frequency")
+    if args.points is not None:
+        fields["n_points"] = args.points
     try:
         return SweepConfig(**fields)
     except ValueError as exc:
@@ -180,10 +187,7 @@ def _pulsed_spectrum(cfg: RunConfig, args):
     if len(chosen) > 1:
         raise ConfigError(f"choose one spectrum source, got {' and '.join(chosen)}")
     if args.flat is not None:
-        if not 0 < args.flat < math.inf:
-            raise ConfigError(
-                f"key '--flat': level must be finite and positive, got {args.flat}"
-            )
+        _finite_positive("--flat", args.flat, "level")
         return Spectrum.flat(args.flat), f"flat {args.flat:g}"
     if args.piecewise is not None:
         try:
@@ -208,11 +212,7 @@ def _pulsed_spectrum(cfg: RunConfig, args):
 
 
 def cmd_pulsed(cfg: RunConfig, args) -> None:
-    if not 0 < args.T < math.inf:
-        raise ConfigError(
-            f"key '--T': window duration must be finite and positive, got {args.T}"
-        )
-    window = PulsedWindow(duration=args.T)
+    window = PulsedWindow(duration=_finite_positive("--T", args.T, "window duration"))
     spectrum, desc = _pulsed_spectrum(cfg, args)
 
     value, err = pulsed_variance_with_error(spectrum, window)
@@ -279,8 +279,7 @@ def cmd_synth(cfg: RunConfig, args) -> None:
         raise ConfigError(
             f"key '--n-samples': must be a power of two >= 2, got {given:.17g}"
         )
-    if not args.sample_rate > 0:
-        raise ConfigError("key '--sample-rate': must be positive")
+    _finite_positive("--sample-rate", args.sample_rate, "sample rate")
     record = 8 * n
     need = SYNTH_PEAK_PER_RECORD * record
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -305,8 +304,8 @@ def _trace_from_welch(ts: TimeSeries, rbw: float) -> Trace:
 
 
 def cmd_analyze(cfg: RunConfig, args) -> None:
+    rbw = cfg.analyzer.rbw if args.rbw is None else _finite_positive("--rbw", args.rbw, "rbw")
     ts = read_timeseries(args.input)
-    rbw = args.rbw if args.rbw is not None else cfg.analyzer.rbw
     trace = _trace_from_welch(ts, rbw)
     out = _out_dir(cfg)
     written = _emit_trace(trace, out, "trace_analyzed", args.format)
@@ -320,9 +319,11 @@ def cmd_analyze(cfg: RunConfig, args) -> None:
 
 
 def cmd_criteria(cfg: RunConfig, args) -> None:
-    f0 = args.freq
-    if not f0 > 0:
-        raise ConfigError(f"key '--freq': must be positive, got {f0}")
+    # the only command that needs scipy; importing it here keeps the others'
+    # cold start free of it
+    from scipy.optimize import brentq
+
+    f0 = _finite_positive("--freq", args.freq, "frequency")
 
     src, det = _mode_spectra(cfg)
     insep_det = _inseparability(det, f0)

@@ -6,7 +6,8 @@ Conventions, fixed so golden outputs stay stable:
   to V over [0, fs/2]. Unit-variance white noise is flat at 2/fs.
 * A shot-normalized spectrum value of 1.0 synthesizes to samples of unit
   variance (SHOT_NOISE_VARIANCE below).
-* Welch: Hann window, 50% overlap, no detrending.
+* Welch: periodic Hann window, 50% overlap, no detrending, computed in
+  numpy (no scipy import) over a read-only strided view of the segments.
 * Analyzer emulation: Gaussian resolution-bandwidth kernel (FWHM = rbw),
   video bandwidth modeled as post-detection power averaging over
   n_avg = max(1, round(rbw / (2 vbw))) looks (RMS detector).
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .spectra import Spectrum, TabulatedSpectrum
 
@@ -42,6 +42,10 @@ SHOT_NOISE_VARIANCE = 1.0
 # fixed kernel discretization for the RBW convolution: +-4 sigma, 257 points
 _KERNEL_HALF_WIDTH_SIGMAS = 4.0
 _KERNEL_POINTS = 257
+
+# Welch segments are transformed a block at a time, about this many samples
+# per block, so the temporaries stay a few MB whatever the record length
+_WELCH_BLOCK_SAMPLES = 1 << 16
 
 # FWHM of a Gaussian in units of its sigma
 _FWHM = 2.0 * np.sqrt(2.0 * np.log(2.0))
@@ -101,12 +105,12 @@ class SweepConfig:
     vbw: float = 300.0
 
     def __post_init__(self):
-        if not 0 < self.start < self.stop:
-            raise ValueError("need 0 < start < stop")
+        if not 0 < self.start < self.stop < np.inf:
+            raise ValueError("need 0 < start < stop, both finite")
         if self.n_points < 2:
             raise ValueError("n_points must be at least 2")
-        if not (self.rbw >= self.vbw > 0):
-            raise ValueError("need rbw >= vbw > 0")
+        if not (np.inf > self.rbw >= self.vbw > 0):
+            raise ValueError("need rbw >= vbw > 0, both finite")
 
     @property
     def freqs(self) -> np.ndarray:
@@ -159,12 +163,16 @@ def _welch_nperseg(sample_rate: float, rbw: float) -> int:
 def welch_psd(ts: TimeSeries, rbw: float) -> TabulatedSpectrum:
     """Averaged periodogram of a series, tabulated as a one-sided PSD in 1/Hz.
 
-    Segment length is the power of two giving bin spacing <= rbw/2; Hann
-    window, 50% overlap, no detrending, density normalization (the PSD
-    integrates to the sample variance over [0, fs/2]).
+    Segment length is the power of two giving bin spacing <= rbw/2; periodic
+    Hann window, 50% overlap, no detrending, density normalization (the PSD
+    integrates to the sample variance over [0, fs/2]). Trailing samples that
+    do not fill a segment are dropped (Welch, IEEE Trans. Audio Electroacoust.
+    15, 1967).
     """
-    if not rbw > 0:
-        raise ValueError("rbw must be positive")
+    if not 0 < rbw < 2.0 * ts.sample_rate:
+        raise ValueError(
+            f"rbw must be positive and below twice the sample rate, got {rbw:.6g} Hz"
+        )
     nperseg = _welch_nperseg(ts.sample_rate, rbw)
     n_min = int(np.ceil(1.5 * nperseg))
     if len(ts) < n_min:
@@ -172,16 +180,19 @@ def welch_psd(ts: TimeSeries, rbw: float) -> TabulatedSpectrum:
             f"record of {len(ts)} samples is too short for rbw={rbw:.6g} Hz: "
             f"need at least {n_min} samples (two 50%-overlapped segments of {nperseg})"
         )
-    freqs, psd = signal.welch(
-        ts.samples,
-        fs=ts.sample_rate,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend=False,
-        scaling="density",
-        return_onesided=True,
-    )
+    # nperseg is a power of two >= 2: the hop is half a segment, and the last
+    # bin is Nyquist, which like DC has no negative-frequency twin
+    segments = np.lib.stride_tricks.sliding_window_view(ts.samples, nperseg)[:: nperseg // 2]
+    window = np.hanning(nperseg + 1)[:-1]
+    block = max(1, _WELCH_BLOCK_SAMPLES // nperseg)
+    power = np.zeros(nperseg // 2 + 1)
+    for start in range(0, len(segments), block):
+        spec = np.fft.rfft(segments[start:start + block] * window, axis=-1)
+        power += (spec.real**2 + spec.imag**2).sum(axis=0)
+
+    psd = power / (ts.sample_rate * np.sum(window**2) * len(segments))
+    psd[1:-1] *= 2.0  # one-sided: fold in the negative frequencies
+    freqs = np.fft.rfftfreq(nperseg, d=1.0 / ts.sample_rate)
     return TabulatedSpectrum(freqs, psd, label=f"welch rbw={rbw:.6g}")
 
 

@@ -14,15 +14,15 @@ field nu < x gets one panel per sinc lobe [k/T, (k+1)/T], also split at any
 spectrum breakpoints. The far field nu > x takes the lobe-averaged kernel
 1/(2 pi^2 nu^2) in w = x/nu, where the integrand is S(x/w) / (2 pi^2 x) on
 (0, 1] and breakpoints beyond x are panel edges. Gauss-Legendre panels of
-both fields (16 nodes, checked against 8) share one heap that bisects the
-worst panel until the summed estimate meets the relative tolerance. The
-returned error adds what the lobe average drops: S(x) T / (4 pi^4 N^3) for
-the smooth far field and |dS| / (4 pi^3 T b^2) per jump dS at a b > x.
+both fields (16 nodes, checked against 8) share one table, in which the
+worst panel is bisected until the summed estimate meets the relative
+tolerance. The returned error adds what the lobe average drops:
+S(x) T / (4 pi^4 N^3) for the smooth far field and |dS| / (4 pi^3 T b^2)
+per jump dS at a b > x.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,40 +149,56 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
         + np.sum(jumps / (4.0 * np.pi**3 * t * far_bp**2))
     )
 
-    # max-heap of panels keyed by error estimate; running sums drive the
-    # convergence test, the reproducible ordered sum happens at the end
-    heap = []
+    # panel table (side, start, end, GL16 value, |GL16 - GL8| error): a
+    # refinement overwrites the panel it bisects with the left half and
+    # appends the right half, so the table has room for _MAX_REFINEMENTS more
+    cap = sum(edges.size - 1 for edges in edge_sets) + _MAX_REFINEMENTS
+    side = np.empty(cap, dtype=np.int8)
+    start, end, value, error = (np.empty(cap) for _ in range(4))
 
-    def add(side, edges):
-        fine = _gl_panels(parts[side], edges, _GL16)
-        err = np.abs(fine - _gl_panels(parts[side], edges, _GL8))
-        for item in zip(-err, edges[:-1], edges[1:], fine, [side] * fine.size):
-            heapq.heappush(heap, item)
-        return float(np.sum(fine)), float(np.sum(err))
+    def panels(k, edges):
+        fine = _gl_panels(parts[k], edges, _GL16)
+        return fine, np.abs(fine - _gl_panels(parts[k], edges, _GL8))
 
-    (v_near, e_near), (v_far, e_far) = (add(i, e) for i, e in enumerate(edge_sets))
-    value_sum, err_sum = v_near + v_far, e_near + e_far + averaging_err
+    def store(i, k, edges, fine, err):
+        sl = slice(i, i + fine.size)
+        side[sl], start[sl], end[sl], value[sl], error[sl] = k, edges[:-1], edges[1:], fine, err
 
-    refinements = 0
+    # running sums, started from the per-side sums, drive the convergence
+    # test; the reproducible ordered sum happens at the end
+    value_sum = err_sum = 0.0
+    n = 0
+    for k, edges in enumerate(edge_sets):
+        fine, err = panels(k, edges)
+        store(n, k, edges, fine, err)
+        n += fine.size
+        value_sum += float(np.sum(fine))
+        err_sum += float(np.sum(err))
+    err_sum += averaging_err
+
     while err_sum > _REL_TOL * abs(value_sum) and abs(value_sum) != 0.0:
-        if refinements >= _MAX_REFINEMENTS:
+        if n == cap:
             raise RuntimeError(
                 "window-variance quadrature did not reach the requested tolerance; "
                 "the spectrum likely diverges at low frequency (clamp it, e.g. with "
                 "clamp_to_shot_below, to model a feedback-stabilized source)"
             )
-        refinements += 1
-        neg_err, a, b, f_old, side = heapq.heappop(heap)
-        dv, de = add(side, np.array([a, 0.5 * (a + b), b]))
-        value_sum += dv - f_old
-        err_sum += de + neg_err
+        # the worst panel: largest error, ties to the lowest start
+        tied = np.flatnonzero(error[:n] == error[:n].max())
+        w = tied[np.lexsort((side[tied], value[tied], end[tied], start[tied]))[0]]
+        a, b, k = start[w], end[w], side[w]
+        edges = np.array([a, 0.5 * (a + b), b])
+        fine, err = panels(k, edges)
+        value_sum += float(np.sum(fine)) - value[w]
+        err_sum += float(np.sum(err)) - error[w]
+        store(w, k, edges[:2], fine[:1], err[:1])
+        store(n, k, edges[1:], fine[1:], err[1:])
+        n += 1
 
     # near field then far field, each by panel start, summed pairwise: reruns
     # stay bit-identical
-    panels = sorted((side, a, f) for _, a, _b, f, side in heap)
-    value = float(np.sum(np.array([f for *_, f in panels])))
-    err = float(np.sum(np.array([-e for e, *_ in heap]))) + averaging_err
-    return value, err
+    order = np.lexsort((start[:n], side[:n]))
+    return float(np.sum(value[order])), float(np.sum(error[order])) + averaging_err
 
 
 def pulsed_variance(spectrum, window: PulsedWindow) -> float:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -290,6 +293,51 @@ def test_criteria_names_the_bracket_it_searched(tmp_path, capsys):
 
 def test_criteria_rejects_bad_frequency(tmp_path, capsys):
     assert run("--out", tmp_path, "criteria", "--freq", -1.0) == 2
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("synth", "--sample-rate", "inf"),
+    ("synth", "--sample-rate", "nan"),
+    ("criteria", "--freq", "inf"),
+    ("criteria", "--freq", "nan"),
+    ("spectrum", "--rbw", "inf"),
+    ("spectrum", "--stop", "inf"),
+    ("spectrum", "--vbw", "nan"),
+    ("analyze", "--rbw", "inf"),
+    ("analyze", "--rbw", "nan"),
+])
+def test_float_options_that_are_not_finite_are_config_errors(tmp_path, capsys, monkeypatch,
+                                                             command, flag, value):
+    argv = ["--out", tmp_path, "--seed", 1, command]
+    if command == "analyze":
+        assert run("--out", tmp_path, "--seed", 1, "synth", "--n-samples", 2**12) == 0
+        argv.append(tmp_path / "timeseries_minus.sqts")
+        capsys.readouterr()
+    monkeypatch.setattr(cli, "synthesize", _must_not_run)
+    assert run(*argv, f"{flag}={value}") == 2
+    err = capsys.readouterr().err
+    assert f"'{flag}'" in err and "finite" in err
+
+
+def test_only_criteria_imports_scipy(tmp_path):
+    # a fresh interpreter: this one has imported scipy for other tests
+    script = """
+import sys
+import sqzsim, sqzsim.cli
+from sqzsim.cli import main
+
+out = sys.argv[1]
+for argv in (["spectrum", "--points", "64"], ["pulsed", "--example"],
+             ["synth", "--n-samples", "4096"], ["analyze", out + "/timeseries_minus.sqts"]):
+    assert main(["--out", out, "--seed", "1", *argv]) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+assert main(["--out", out, "criteria"]) == 0
+"""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_binds_the_layers_it_calls():

@@ -6,6 +6,7 @@ from sqzsim import (
     SHOT_NOISE_VARIANCE,
     Spectrum,
     SweepConfig,
+    TimeSeries,
     Trace,
     emulate_sweep,
     normalize_to_shot,
@@ -92,6 +93,30 @@ def test_record_too_short_error_names_minimum_length():
     ts = synthesize(Spectrum.flat(1.0), FS, 2**10, 2)
     with pytest.raises(ValueError, match="at least"):
         welch_psd(ts, 10.0)
+
+
+@pytest.mark.parametrize("n, rbw", [
+    (2**22, 1e5), (2**20, 1e5), (2**16, 3e3), (2**14, 1e4), (3000, 1e5),
+    (768, 1e5),  # the shortest record at this rbw: two overlapped segments of 512
+])
+def test_welch_matches_scipy(n, rbw):
+    from scipy import signal
+
+    fs = 25e6
+    samples = np.random.default_rng(n).standard_normal(n)
+    psd = welch_psd(TimeSeries(fs, samples, 0), rbw)
+    nperseg = 1 << int(np.ceil(np.log2(2 * fs / rbw)))
+    freqs, want = signal.welch(samples, fs=fs, window="hann", nperseg=nperseg,
+                               noverlap=nperseg // 2, detrend=False, scaling="density")
+    assert np.array_equal(psd.freqs, freqs)
+    assert_allclose(psd.values, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("rbw", [0.0, -1.0, np.nan, np.inf, 2 * FS])
+def test_welch_rejects_rbw_outside_zero_to_twice_the_sample_rate(rbw):
+    ts = synthesize(Spectrum.flat(1.0), FS, 2**10, 2)
+    with pytest.raises(ValueError, match="rbw"):
+        welch_psd(ts, rbw)
 
 
 def test_round_trip_synthesize_welch():
