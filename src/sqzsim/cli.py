@@ -318,11 +318,27 @@ def cmd_analyze(cfg: RunConfig, args) -> None:
         print(p)
 
 
-def cmd_criteria(cfg: RunConfig, args) -> None:
-    # the only command that needs scipy; importing it here keeps the others'
-    # cold start free of it
-    from scipy.optimize import brentq
+def _falling_crossing(g, lo: float, hi: float) -> float:
+    """Where g falls through zero in [lo, hi], given g(lo) > 0 > g(hi).
 
+    Bisection until the midpoint rounds onto an end: the result is a zero of
+    g, or the last float with g > 0, whose next float up has g < 0. This is
+    exact to rounding, and needs no root-finding library.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo
+        gm = g(mid)
+        if gm > 0:
+            lo = mid
+        elif gm < 0:
+            hi = mid
+        else:
+            return mid
+
+
+def cmd_criteria(cfg: RunConfig, args) -> None:
     f0 = _finite_positive("--freq", args.freq, "frequency")
 
     src, det = _mode_spectra(cfg)
@@ -336,7 +352,7 @@ def cmd_criteria(cfg: RunConfig, args) -> None:
     for mode in ("plus", "minus"):
         g = lambda f: src[mode](f) - 1.0
         if g(lo) > 0 > g(hi):
-            crossings[mode] = float(brentq(g, lo, hi))
+            crossings[mode] = _falling_crossing(g, lo, hi)
         else:
             crossings[mode] = None
 

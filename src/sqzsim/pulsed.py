@@ -124,6 +124,13 @@ def _gl_panels(g, edges, rule):
     return 0.5 * widths * (vals * weights[None, :]).sum(axis=1)
 
 
+def _distinct_sorted(*arrays) -> np.ndarray:
+    """np.unique of the joined arrays, without the numpy.ma import np.unique
+    pays on its first call."""
+    joined = np.sort(np.concatenate(arrays))
+    return joined[np.concatenate(([True], np.diff(joined) > 0))]
+
+
 def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, float]:
     """Window-filtered noise variance plus a conservative error estimate."""
     t = window.duration
@@ -137,8 +144,8 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     bp = np.asarray(getattr(spectrum, "breakpoints", ()), dtype=float)
     far_bp = bp[bp > x]
     edge_sets = (
-        np.unique(np.concatenate([np.arange(_N_LOBES + 1) / t, bp[(bp > 0) & (bp < x)]])),
-        np.unique(np.concatenate([np.linspace(0.0, 1.0, 9), x / far_bp])),
+        _distinct_sorted(np.arange(_N_LOBES + 1) / t, bp[(bp > 0) & (bp < x)]),
+        _distinct_sorted(np.linspace(0.0, 1.0, 9), x / far_bp),
     )
 
     # what the lobe average drops, beyond reach of refinement: the next term

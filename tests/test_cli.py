@@ -11,6 +11,7 @@ import pytest
 import sqzsim
 from sqzsim import cli
 from sqzsim.cli import main
+from sqzsim.config import load_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -284,11 +285,56 @@ def test_criteria_report(tmp_path):
 
 
 def test_criteria_names_the_bracket_it_searched(tmp_path, capsys):
+    # g(hi) >= 0: the relaxation peak lifts the minus mode above shot noise at
+    # the top of the bracket
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"noise": {"relax_center": 100e3}}))
     assert run("--config", path, "--out", tmp_path, "criteria") == 0
     out = capsys.readouterr().out
-    assert "not bracketed in [5, 80] kHz" in out
+    assert "crossing (minus mode): not bracketed in [5, 80] kHz" in out
+    doc = json.loads((tmp_path / "criteria_report.json").read_text())
+    assert doc["snl_crossing_hz"]["minus"] is None
+
+
+@pytest.mark.parametrize("section", [
+    {"noise": {"lf_amp": 0.0}},  # squeezed already at the bracket's start
+    {"opo": {"pump_ratio": 0.0},  # shot noise everywhere: g(lo) = 0
+     "noise": {"lf_amp": 0.0, "relax_amp_plus": 0.0, "relax_amp_minus": 0.0}},
+])
+def test_criteria_without_excess_at_the_bracket_start_writes_null(tmp_path, capsys, section):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(section))
+    assert run("--config", path, "--out", tmp_path, "criteria") == 0
+    out = capsys.readouterr().out
+    doc = json.loads((tmp_path / "criteria_report.json").read_text())
+    jsonschema.validate(doc, schema("criteria_report.schema.json"))
+    for mode in ("plus", "minus"):
+        assert f"crossing ({mode} mode): not bracketed in [5, 500] kHz" in out
+        assert doc["snl_crossing_hz"][mode] is None
+
+
+@pytest.mark.parametrize("relax_center", [1e6, 300e3])
+@pytest.mark.parametrize("lf_knee", [20e3, 50e3, 100e3])
+@pytest.mark.parametrize("pump_ratio", [0.42, 0.7])
+def test_criteria_crossing_is_pinned_between_adjacent_floats(tmp_path, relax_center, lf_knee,
+                                                            pump_ratio):
+    # the grid holds the default config (1 MHz, 50 kHz, 0.42)
+    from scipy.optimize import brentq
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"opo": {"pump_ratio": pump_ratio},
+                                "noise": {"relax_center": relax_center, "lf_knee": lf_knee}}))
+    assert run("--config", path, "--out", tmp_path, "criteria") == 0
+    crossings = json.loads((tmp_path / "criteria_report.json").read_text())["snl_crossing_hz"]
+    cfg = load_config(path)
+    lo, hi = 5e3, min(5e5, 0.8 * relax_center)
+    for mode in ("plus", "minus"):
+        spectrum = sqzsim.total_spectrum(cfg.opo, cfg.noise, mode)
+        g = lambda f: spectrum(f) - 1.0
+        r = crossings[mode]
+        # the sign change lies between r and the next float: exact to rounding
+        assert g(r) >= 0 >= g(np.nextafter(r, hi)), mode
+        assert abs(r - brentq(g, lo, hi)) <= 2e-12 + 4 * np.spacing(r), mode
 
 
 def test_criteria_rejects_bad_frequency(tmp_path, capsys):
@@ -319,20 +365,21 @@ def test_float_options_that_are_not_finite_are_config_errors(tmp_path, capsys, m
     assert f"'{flag}'" in err and "finite" in err
 
 
-def test_only_criteria_imports_scipy(tmp_path):
-    # a fresh interpreter: this one has imported scipy for other tests
+def test_no_command_imports_scipy(tmp_path):
+    # a fresh interpreter in which any scipy import raises; this one has
+    # imported scipy for other tests
     script = """
 import sys
-import sqzsim, sqzsim.cli
+sys.modules["scipy"] = None
 from sqzsim.cli import main
 
 out = sys.argv[1]
-for argv in (["spectrum", "--points", "64"], ["pulsed", "--example"],
-             ["synth", "--n-samples", "4096"], ["analyze", out + "/timeseries_minus.sqts"]):
+assert main(["--out", out, "--seed", "1", "pulsed", "--example"]) == 0
+# np.unique would import numpy.ma on its first call
+assert "numpy.ma" not in sys.modules
+for argv in (["spectrum", "--points", "64"], ["synth", "--n-samples", "4096"],
+             ["analyze", out + "/timeseries_minus.sqts"], ["criteria"]):
     assert main(["--out", out, "--seed", "1", *argv]) == 0, argv
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded
-assert main(["--out", out, "criteria"]) == 0
 """
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,

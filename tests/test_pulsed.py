@@ -17,6 +17,7 @@ from sqzsim import (
     pulsed_variance_with_error,
     squeezed_variance,
 )
+from sqzsim.pulsed import _distinct_sorted
 
 T_1US = PulsedWindow(duration=1e-6)
 
@@ -163,3 +164,15 @@ def test_piecewise_bands_match_sine_integral_closed_form(t):
     levels = spec.values + (spec.tail_value,)
     exact = t / math.pi * sum(v * (hi - lo) for v, lo, hi in zip(levels, [0.0] + upto, upto))
     _assert_matches(spec, t, exact)
+
+
+_EDGES = st.lists(st.sampled_from([0.0, 1e-300, 0.125, 1.0, 5e4, 1e9]), max_size=12)
+
+
+@given(st.lists(_EDGES, min_size=1, max_size=3).filter(lambda arrays: arrays[0]))
+def test_edge_sets_match_np_unique(arrays):
+    # the reference the panel edges are built to reproduce bit for bit; the
+    # first array (lobe or far-field grid) is never empty
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    got = _distinct_sorted(*arrays)
+    assert got.tobytes() == np.unique(np.concatenate(arrays)).tobytes()
