@@ -55,10 +55,16 @@ from .quantum import ModeVariancePair, check_physicality, duan_inseparability
 from .spectra import Spectrum
 
 # peak memory of `synth` in record sizes (8 bytes per sample), above the
-# import baseline; measured with numpy 2.4 on Linux x86-64: 7.2x (262 MB peak
-# for a 32 MB record at n = 2^22, 31 MB after import; 7.8x at n = 2^20, where
-# the fixed overhead weighs more), rounded up
-SYNTH_PEAK_PER_RECORD = 8
+# import baseline; measured with numpy 2.4 on Linux x86-64: 4.2x (166 MB peak
+# for a 32 MB record at n = 2^22, 31 MB after import; 4.9x at n = 2^20, where
+# the fixed overhead weighs more), plus a margin. Synthesis cannot go below
+# 3.5x: the Fourier bins are one record, and irfft adds its output and 1.5
+# records of scratch.
+SYNTH_PEAK_PER_RECORD = 6
+
+# the electronic noise of a detected record is drawn this many samples at a
+# time, so it needs no record-sized temporary
+_DARK_BLOCK_SAMPLES = 1 << 16
 
 # piecewise model of the stabilized source: shot-limited below 50 kHz,
 # 3 dB squeezed above; its published improvement estimate for T = 1 us
@@ -263,12 +269,18 @@ def detected_record(
     else:
         lossless_dark = dataclasses.replace(cfg.detection, dark_noise_db=-math.inf)
         base = observe(total_spectrum(cfg.opo, cfg.noise, mode), lossless_dark)
-    ts = synthesize(base, sample_rate, n_samples, shaped_seed)
-    samples = ts.samples
+    samples = synthesize(base, sample_rate, n_samples, shaped_seed).samples
     dark = cfg.detection.dark_linear
     if dark > 0:
+        # added in place, a block of normals at a time: consecutive blocks
+        # continue one stream, so this equals one standard_normal(n_samples)
         rng = np.random.default_rng(dark_seed)
-        samples = samples + math.sqrt(dark) * rng.standard_normal(n_samples)
+        block = np.empty(min(n_samples, _DARK_BLOCK_SAMPLES))
+        for start in range(0, n_samples, block.size):
+            chunk = block[: n_samples - start]
+            rng.standard_normal(out=chunk)
+            chunk *= math.sqrt(dark)
+            samples[start : start + chunk.size] += chunk
     return TimeSeries(sample_rate=sample_rate, samples=samples, seed=seed)
 
 

@@ -125,6 +125,12 @@ def synthesize(spectrum, sample_rate: float, n_samples: int, seed: int) -> TimeS
     The DC bin carries no power (the series is mean-free), so the spectrum
     is never evaluated at f = 0. A flat spectrum of value 1.0 yields sample
     variance SHOT_NOISE_VARIANCE.
+
+    The bins are filled in place from one reused draw buffer (real parts,
+    then imaginary parts, then Nyquist, in stream order) and multiplied by
+    the amplitude and then by 1/sqrt(2): the operations, in order, of
+    ``amps * (re + 1j*im) / sqrt(2)``, as numpy divides a complex array by a
+    real scalar by multiplying with its reciprocal. Records keep their bytes.
     """
     if not sample_rate > 0:
         raise ValueError("sample_rate must be positive")
@@ -139,18 +145,24 @@ def synthesize(spectrum, sample_rate: float, n_samples: int, seed: int) -> TimeS
     if np.any(target < 0):
         f_bad = float(freqs[1:][target < 0][0])
         raise ValueError(f"spectrum is negative at {f_bad:.6g} Hz")
+    del freqs
+    # a new array: the spectrum's own result may be read-only or shared
+    amps = n_samples * target
+    del target
+    np.sqrt(amps, out=amps)
 
     rng = np.random.default_rng(seed)
-    n_interior = n_samples // 2 - 1
-    re = rng.standard_normal(n_interior)
-    im = rng.standard_normal(n_interior)
-    nyq = rng.standard_normal(1)
-
-    amps = np.sqrt(n_samples * target)
     bins = np.empty(n_samples // 2 + 1, dtype=complex)
     bins[0] = 0.0
-    bins[1:-1] = amps[:-1] * (re + 1j * im) / np.sqrt(2.0)
-    bins[-1] = amps[-1] * nyq[0]
+    buf = np.empty(n_samples // 2 - 1)
+    for part in (bins.real, bins.imag):
+        rng.standard_normal(out=buf)
+        buf *= amps[:-1]
+        buf *= 1.0 / np.sqrt(2.0)
+        part[1:-1] = buf
+    del buf
+    bins[-1] = amps[-1] * rng.standard_normal()
+    del amps
     samples = np.fft.irfft(bins, n_samples)
     return TimeSeries(sample_rate=sample_rate, samples=samples, seed=int(seed))
 

@@ -16,6 +16,7 @@ carries the fields freqs, values_db, rbw, vbw.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -45,35 +46,39 @@ class TimeSeriesFormatError(ValueError):
 
 def write_timeseries(path, ts: TimeSeries) -> None:
     header = _HEADER.pack(MAGIC, VERSION, ts.sample_rate, len(ts), ts.seed)
-    data = np.ascontiguousarray(ts.samples, dtype="<f8").tobytes()
-    Path(path).write_bytes(header + data)
+    with open(path, "wb") as f:
+        f.write(header)
+        np.ascontiguousarray(ts.samples, dtype="<f8").tofile(f)
 
 
 def read_timeseries(path) -> TimeSeries:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise TimeSeriesFormatError(
-            f"truncated header: file is {len(raw)} bytes, need {_HEADER.size} "
-            f"(at byte offset {len(raw)})"
-        )
-    magic, version, sample_rate, n_samples, seed = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise TimeSeriesFormatError(
-            f"bad magic {magic!r} at byte offset 0, expected {MAGIC!r}"
-        )
-    if version != VERSION:
-        raise TimeSeriesFormatError(
-            f"unsupported version {version} at byte offset 4, expected {VERSION}"
-        )
-    expected = _HEADER.size + 8 * n_samples
-    if len(raw) != expected:
-        offset = min(len(raw), expected)
-        raise TimeSeriesFormatError(
-            f"sample payload mismatch at byte offset {offset}: header promises "
-            f"{n_samples} samples ({expected} bytes total), file has {len(raw)} bytes"
-        )
-    samples = np.frombuffer(raw, dtype="<f8", count=n_samples, offset=_HEADER.size)
-    return TimeSeries(sample_rate=sample_rate, samples=samples.copy(), seed=seed)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < _HEADER.size:
+            raise TimeSeriesFormatError(
+                f"truncated header: file is {size} bytes, need {_HEADER.size} "
+                f"(at byte offset {size})"
+            )
+        magic, version, sample_rate, n_samples, seed = _HEADER.unpack(f.read(_HEADER.size))
+        if magic != MAGIC:
+            raise TimeSeriesFormatError(
+                f"bad magic {magic!r} at byte offset 0, expected {MAGIC!r}"
+            )
+        if version != VERSION:
+            raise TimeSeriesFormatError(
+                f"unsupported version {version} at byte offset 4, expected {VERSION}"
+            )
+        expected = _HEADER.size + 8 * n_samples
+        if size == expected:
+            samples = np.fromfile(f, dtype="<f8", count=n_samples)
+            size = _HEADER.size + 8 * samples.size  # less if cut since fstat
+        if size != expected:
+            offset = min(size, expected)
+            raise TimeSeriesFormatError(
+                f"sample payload mismatch at byte offset {offset}: header promises "
+                f"{n_samples} samples ({expected} bytes total), file has {size} bytes"
+            )
+    return TimeSeries(sample_rate=sample_rate, samples=samples, seed=seed)
 
 
 def write_trace_csv(path, trace: Trace) -> None:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import sqzsim
 from sqzsim import cli
 from sqzsim.cli import main
-from sqzsim.config import load_config
+from sqzsim.config import default_config, load_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -22,6 +23,16 @@ def schema(name):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def fresh_python(script, *argv):
+    """Run script in a new interpreter that imports this checkout's sqzsim;
+    return its stdout."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture
@@ -231,6 +242,40 @@ def test_synth_peak_larger_than_memory_is_config_error(tmp_path, capsys, monkeyp
     assert str(cli.SYNTH_PEAK_PER_RECORD * 8 * n) in err and "physical memory" in err
 
 
+def test_synth_peak_is_within_its_memory_bound(tmp_path):
+    # a fresh interpreter, whose own high-water mark is VmHWM; ru_maxrss
+    # would not do, as a process starts with its parent's high-water mark
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    script = """
+import re, sys
+from pathlib import Path
+from sqzsim import cli
+
+def hwm():
+    return int(re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text())[1]) * 1024
+
+base = hwm()
+assert cli.main(["--out", sys.argv[1], "--seed", "1", "synth", "--n-samples", "1048576"]) == 0
+print((hwm() - base) / (8 * 2**20), cli.SYNTH_PEAK_PER_RECORD)
+"""
+    ratio, bound = map(float, fresh_python(script, tmp_path).split()[-2:])
+    assert ratio <= bound, f"synth peaked at {ratio:.2f} record sizes above import"
+
+
+def test_detected_record_adds_the_dark_noise_of_one_draw():
+    # the electronic noise goes in a block at a time; the record must equal
+    # the shaped series plus sqrt(dark) times one standard_normal(n) draw
+    cfg = default_config()
+    n = 4 * cli._DARK_BLOCK_SAMPLES
+    shaped_seed, dark_seed = cli._sub_seeds(cfg.require_seed(), 2)
+    shaped = sqzsim.synthesize(sqzsim.Spectrum.flat(1.0), 25e6, n, shaped_seed).samples
+    dark = np.random.default_rng(dark_seed).standard_normal(n)
+    want = shaped + math.sqrt(cfg.detection.dark_linear) * dark
+    got = cli.detected_record(cfg, "shot", 25e6, n).samples
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("given", ["nan", "inf", "-inf", "1.5", "0", "1", "3", "-4", "65537"])
 def test_synth_rejects_n_samples_that_are_not_powers_of_two(tmp_path, capsys, monkeypatch,
                                                           given):
@@ -381,10 +426,7 @@ for argv in (["spectrum", "--points", "64"], ["synth", "--n-samples", "4096"],
              ["analyze", out + "/timeseries_minus.sqts"], ["criteria"]):
     assert main(["--out", out, "--seed", "1", *argv]) == 0, argv
 """
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    fresh_python(script, tmp_path)
 
 
 def test_cli_binds_the_layers_it_calls():

@@ -1,3 +1,8 @@
+import dataclasses
+import hashlib
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,10 +13,13 @@ from sqzsim import (
     SweepConfig,
     TimeSeries,
     Trace,
+    default_config,
     emulate_sweep,
     normalize_to_shot,
+    observe,
     rbw_convolve,
     synthesize,
+    total_spectrum,
     welch_psd,
 )
 
@@ -46,6 +54,56 @@ def test_synthesis_is_deterministic():
     assert a.samples.tobytes() == b.samples.tobytes()
     c = synthesize(Spectrum.flat(1.0), FS, 2**14, 124)
     assert a.samples.tobytes() != c.samples.tobytes()
+
+
+def synth_spectrum(name):
+    """Flat shot noise, or the default minus-mode model as `synth` shapes it."""
+    if name == "flat":
+        return Spectrum.flat(1.0)
+    cfg = default_config()
+    lossless_dark = dataclasses.replace(cfg.detection, dark_noise_db=-math.inf)
+    return observe(total_spectrum(cfg.opo, cfg.noise, "minus"), lossless_dark)
+
+
+# sha256 of synthesize(spectrum, 25 MHz, 2^16, seed).samples, frozen from a
+# build that formed the bins as amps * (re + 1j*im) / sqrt(2) in whole
+# arrays; a change here changes every .sqts record
+SYNTH_DIGESTS = {
+    ("flat", 1): "a6968ac62099752254c16b4333cee658edaf855df06e882c83d9a9ab1fad64cf",
+    ("flat", 42): "4694749312f2794843ce9a009d9bdc37633eb271203b61451842a8929a81f1bc",
+    ("model", 1): "1cdf3d09544eb3ec78cfd4f2ed9cf48c4236aac62d6d93eae3406de32c0935fc",
+    ("model", 42): "461f32fb7d75c4322d771fd0e3957fa157db70076c2b22b16e5fc7c4db5b2d34",
+}
+
+
+@pytest.mark.parametrize("name, seed", list(SYNTH_DIGESTS))
+def test_synthesized_bytes_are_frozen(name, seed):
+    ts = synthesize(synth_spectrum(name), 25e6, 2**16, seed)
+    assert hashlib.sha256(ts.samples.tobytes()).hexdigest() == SYNTH_DIGESTS[name, seed]
+
+
+@pytest.mark.parametrize("name", ["flat", "model"])
+def test_synthesize_peak_memory_is_bins_and_record(name):
+    # the bins and the record are one record size each; the model spectrum's
+    # evaluation adds its own temporaries (measured 2.0x flat, 2.5x model)
+    n = 2**18
+    spectrum = synth_spectrum(name)
+    synthesize(spectrum, 25e6, 2**4, 1)  # lazy numpy imports outside the trace
+    tracemalloc.start()
+    try:
+        synthesize(spectrum, 25e6, n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * 8 * n, f"{peak / (8 * n):.2f} record sizes"
+
+
+def test_synthesize_leaves_the_spectrum_values_alone():
+    # a spectrum may return an array it keeps, or a read-only view
+    kept = np.full(2**9, 2.0)
+    synthesize(Spectrum(lambda f: kept), FS, 2**10, 1)
+    assert np.all(kept == 2.0)
+    synthesize(Spectrum(lambda f: np.broadcast_to(2.0, f.shape)), FS, 2**10, 1)
 
 
 def test_synthesize_input_validation():
