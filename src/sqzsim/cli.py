@@ -218,7 +218,10 @@ def _pulsed_spectrum(cfg: RunConfig, args):
 
 
 def cmd_pulsed(cfg: RunConfig, args) -> None:
-    window = PulsedWindow(duration=_finite_positive("--T", args.T, "window duration"))
+    try:
+        window = PulsedWindow(duration=args.T)
+    except ValueError as exc:
+        raise ConfigError(f"key '--T': {exc}") from exc
     spectrum, desc = _pulsed_spectrum(cfg, args)
 
     value, err = pulsed_variance_with_error(spectrum, window)

@@ -1,28 +1,36 @@
 """Noise variance of a finite-window measurement and its improvement factor.
 
 Integrating a photocurrent over a rectangular window of duration T filters
-the source noise spectrum S with a sinc^2 kernel:
+the source noise spectrum S with a sinc^2 kernel; in lobes u = nu T,
 
     sigma^2 = integral_0^inf S(nu) T^2 sinc^2(pi nu T) dnu
+            = T integral_0^inf S(u/T) sinc^2(pi u) du
 
 For a flat spectrum S = c the integral is c T / 2, so the improvement factor
-of a source over a shot-limited one is (T/2) / sigma^2.
+of a source over a shot-limited one is (T/2) / sigma^2. The engine
+integrates in lobes and multiplies by T at the end, so T is never squared
+(T^2 leaves the float range for T below about 1e-154 or above 1e154).
 
-The integrand oscillates with period 1/T, which stalls generic adaptive
-quadrature, so the half-line is split at x = N/T (N = 1000 lobes). The near
-field nu < x gets one panel per sinc lobe [k/T, (k+1)/T], also split at any
-spectrum breakpoints. The far field nu > x takes the lobe-averaged kernel
-1/(2 pi^2 nu^2) in w = x/nu, where the integrand is S(x/w) / (2 pi^2 x) on
-(0, 1] and breakpoints beyond x are panel edges. Gauss-Legendre panels of
-both fields (16 nodes, checked against 8) share one table, in which the
-worst panel is bisected until the summed estimate meets the relative
-tolerance. The returned error adds what the lobe average drops:
+The integrand oscillates with period one lobe, which stalls generic adaptive
+quadrature, so the half-line is split at u = N (N = 1000 lobes, nu = x =
+N/T). The near field u < N gets one panel per lobe [k, k+1]. Whole lobes
+take their nodes and weights from one table, built on first use: the
+Gauss-Legendre nodes of each lobe with sinc^2 there folded into the weights,
+exact to rounding because sin^2(pi (k + v)) = sin^2(pi v) keeps the sine's
+argument within pi/2. A lobe that a spectrum breakpoint falls inside is cut
+there into generic panels. The far field u > N takes the lobe-averaged
+kernel 1/(2 pi^2 u^2) in w = N/u, where the integrand is S(x/w) / (2 pi^2 N)
+on (0, 1] and breakpoints beyond x are panel edges. Panels of both fields
+(16 nodes, checked against 8, from one spectrum call) share one table, in
+which the worst panel is bisected until the summed estimate meets the
+relative tolerance. The returned error adds what the lobe average drops:
 S(x) T / (4 pi^4 N^3) for the smooth far field and |dS| / (4 pi^3 T b^2)
 per jump dS at a b > x.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +47,17 @@ __all__ = [
     "clamp_to_shot_below",
 ]
 
-_GL16 = np.polynomial.legendre.leggauss(16)
-_GL8 = np.polynomial.legendre.leggauss(8)
+# the GL16 nodes then the GL8 nodes, and their weights: one spectrum call
+# serves both rules
+_N_FINE = 16
+_GL_NODES, _GL_WEIGHTS = np.hstack(
+    (np.polynomial.legendre.leggauss(_N_FINE), np.polynomial.legendre.leggauss(8))
+)
 
 _N_LOBES = 1_000
 _REL_TOL = 1e-6
 _MAX_REFINEMENTS = 4000
+_CHUNK_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -55,7 +68,12 @@ class PulsedWindow:
 
     def __post_init__(self):
         if not (np.isfinite(self.duration) and self.duration > 0):
-            raise ValueError("window duration must be finite and positive")
+            raise ValueError(f"window duration must be finite and positive, got {self.duration}")
+        if not np.isfinite(_N_LOBES / self.duration):
+            raise ValueError(
+                f"window duration {self.duration} s is too short: the near field "
+                f"ends at {_N_LOBES} / T, which overflows"
+            )
 
 
 @dataclass(frozen=True)
@@ -115,20 +133,55 @@ def _checked(spectrum):
     return s
 
 
-def _gl_panels(g, edges, rule):
-    nodes, weights = rule
-    a = edges[:-1]
-    widths = np.diff(edges)
-    x = a[:, None] + 0.5 * widths[:, None] * (nodes[None, :] + 1.0)
-    vals = g(x.ravel()).reshape(x.shape)
-    return 0.5 * widths * (vals * weights[None, :]).sum(axis=1)
+def _sinc2(u):
+    """sin^2(pi u) / (pi u)^2 with the sine taken of pi (u - rint u), whose
+    square is the same, so that np.sin never sees an argument beyond pi/2."""
+    sinc = np.sin(np.pi * (u - np.rint(u))) / (np.pi * u)
+    return sinc * sinc
+
+
+@functools.cache
+def _lobe_table():
+    """Nodes u = k + (g + 1)/2 of every whole near-field lobe [k, k + 1],
+    GL16 then GL8, and their weights: half the GL weight times sinc^2(u).
+    Built on first use, so importing the package does not pay for it."""
+    nodes = np.arange(_N_LOBES)[:, None] + 0.5 * (_GL_NODES + 1.0)
+    weights = 0.5 * _GL_WEIGHTS * _sinc2(nodes)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _lobe_panels(s, t):
+    """GL16 value and |GL16 - GL8| of the near-field integrand on each whole
+    lobe, from the table; the spectrum is called on at most _CHUNK_NODES
+    nodes at a time, which keeps the temporaries below the size whose free
+    trims the heap."""
+    nodes, weights = _lobe_table()
+    fine, coarse = np.empty(_N_LOBES), np.empty(_N_LOBES)
+    step = _CHUNK_NODES // _GL_NODES.size
+    for c in range(0, _N_LOBES, step):
+        rows = slice(c, c + step)
+        vals = s((nodes[rows] / t).ravel()).reshape(-1, _GL_NODES.size) * weights[rows]
+        fine[rows] = vals[:, :_N_FINE].sum(axis=1)
+        coarse[rows] = vals[:, _N_FINE:].sum(axis=1)
+    return fine, np.abs(fine - coarse)
+
+
+def _gl_panels(g, a, b):
+    """GL16 value and |GL16 - GL8| of g on the panels [a, b], both rules
+    from one call of g."""
+    half = 0.5 * (b - a)
+    x = a[:, None] + half[:, None] * (_GL_NODES + 1.0)
+    vals = g(x.ravel()).reshape(x.shape) * _GL_WEIGHTS
+    fine = half * vals[:, :_N_FINE].sum(axis=1)
+    return fine, np.abs(fine - half * vals[:, _N_FINE:].sum(axis=1))
 
 
 def _distinct_sorted(*arrays) -> np.ndarray:
     """np.unique of the joined arrays, without the numpy.ma import np.unique
     pays on its first call."""
     joined = np.sort(np.concatenate(arrays))
-    return joined[np.concatenate(([True], np.diff(joined) > 0))]
+    return joined[np.diff(joined, prepend=-np.inf) > 0]
 
 
 def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, float]:
@@ -136,48 +189,63 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     t = window.duration
     x = _N_LOBES / t
     s = _checked(spectrum)
-    # near field in nu; far field in w = x/nu under the lobe-averaged kernel
+    # near field in lobes u = nu T; far field in w = x / nu under the
+    # lobe-averaged kernel; both integrals are in units of T
     parts = (
-        lambda nu: s(nu) * t**2 * np.sinc(nu * t) ** 2,
-        lambda w: s(x / w) / (2.0 * np.pi**2 * x),
+        lambda u: s(u / t) * _sinc2(u),
+        lambda w: s(x / w) / (2.0 * np.pi**2 * _N_LOBES),
     )
     bp = np.asarray(getattr(spectrum, "breakpoints", ()), dtype=float)
-    far_bp = bp[bp > x]
-    edge_sets = (
-        _distinct_sorted(np.arange(_N_LOBES + 1) / t, bp[(bp > 0) & (bp < x)]),
-        _distinct_sorted(np.linspace(0.0, 1.0, 9), x / far_bp),
-    )
+    with np.errstate(over="ignore"):  # one beyond the float range lies at w = 0
+        lobes_at = bp * t
+    inside = lobes_at[(lobes_at > 0) & (lobes_at < _N_LOBES)]
+    inside = inside[inside != np.floor(inside)]
+    far = lobes_at > _N_LOBES
+    far_bp, far_at = bp[far], lobes_at[far]
+
+    # whole lobes come from the table; a lobe with a breakpoint inside is cut
+    # there into generic panels, dropping the gaps between such lobes
+    cut_lobes = np.floor(inside)
+    whole = np.ones(_N_LOBES, dtype=bool)
+    whole[cut_lobes.astype(int)] = False
+    lobes = np.flatnonzero(whole).astype(float)
+    cuts = _distinct_sorted(cut_lobes, cut_lobes + 1.0, inside)
+    in_cut_lobe = ~whole[cuts[:-1].astype(int)]
+    far_edges = _distinct_sorted(np.linspace(0.0, 1.0, 9), _N_LOBES / far_at)
 
     # what the lobe average drops, beyond reach of refinement: the next term
     # of the flat tail's series, and the boundary term of each jump beyond x
     jumps = np.abs(s(far_bp) - s(np.nextafter(far_bp, 0.0)))
     averaging_err = float(
-        s(x) * t / (4.0 * np.pi**4 * _N_LOBES**3)
-        + np.sum(jumps / (4.0 * np.pi**3 * t * far_bp**2))
+        s(x) / (4.0 * np.pi**4 * _N_LOBES**3)
+        + np.sum(jumps / (4.0 * np.pi**3 * far_at) / far_at)
     )
 
     # panel table (side, start, end, GL16 value, |GL16 - GL8| error): a
     # refinement overwrites the panel it bisects with the left half and
     # appends the right half, so the table has room for _MAX_REFINEMENTS more
-    cap = sum(edges.size - 1 for edges in edge_sets) + _MAX_REFINEMENTS
+    fine, err = _lobe_panels(s, t)
+    initial = [(0, lobes, lobes + 1.0, fine[whole], err[whole])]
+    for k, a, b in (
+        (0, cuts[:-1][in_cut_lobe], cuts[1:][in_cut_lobe]),
+        (1, far_edges[:-1], far_edges[1:]),
+    ):
+        if a.size:
+            initial.append((k, a, b, *_gl_panels(parts[k], a, b)))
+    cap = sum(p[1].size for p in initial) + _MAX_REFINEMENTS
     side = np.empty(cap, dtype=np.int8)
     start, end, value, error = (np.empty(cap) for _ in range(4))
 
-    def panels(k, edges):
-        fine = _gl_panels(parts[k], edges, _GL16)
-        return fine, np.abs(fine - _gl_panels(parts[k], edges, _GL8))
-
-    def store(i, k, edges, fine, err):
+    def store(i, k, a, b, fine, err):
         sl = slice(i, i + fine.size)
-        side[sl], start[sl], end[sl], value[sl], error[sl] = k, edges[:-1], edges[1:], fine, err
+        side[sl], start[sl], end[sl], value[sl], error[sl] = k, a, b, fine, err
 
-    # running sums, started from the per-side sums, drive the convergence
+    # running sums, started from the per-set sums, drive the convergence
     # test; the reproducible ordered sum happens at the end
     value_sum = err_sum = 0.0
     n = 0
-    for k, edges in enumerate(edge_sets):
-        fine, err = panels(k, edges)
-        store(n, k, edges, fine, err)
+    for k, a, b, fine, err in initial:
+        store(n, k, a, b, fine, err)
         n += fine.size
         value_sum += float(np.sum(fine))
         err_sum += float(np.sum(err))
@@ -185,27 +253,37 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
 
     while err_sum > _REL_TOL * abs(value_sum) and abs(value_sum) != 0.0:
         if n == cap:
+            near = float(np.sum(error[:n][side[:n] == 0]))
+            sources = {
+                "near field": near,
+                "far field": err_sum - averaging_err - near,
+                "lobe average": averaging_err,
+            }
+            worst = max(sources, key=sources.get)
             raise RuntimeError(
-                "window-variance quadrature did not reach the requested tolerance; "
-                "the spectrum likely diverges at low frequency (clamp it, e.g. with "
-                "clamp_to_shot_below, to model a feedback-stabilized source)"
+                f"window-variance quadrature did not reach the requested tolerance "
+                f"in {n} panels; the largest error left is in the {worst}: "
+                f"{t * sources[worst]:.3g} against a variance of {t * value_sum:.3g}; "
+                "if the spectrum diverges at low frequency, clamp it (e.g. with "
+                "clamp_to_shot_below) to model a feedback-stabilized source"
             )
         # the worst panel: largest error, ties to the lowest start
         tied = np.flatnonzero(error[:n] == error[:n].max())
         w = tied[np.lexsort((side[tied], value[tied], end[tied], start[tied]))[0]]
         a, b, k = start[w], end[w], side[w]
         edges = np.array([a, 0.5 * (a + b), b])
-        fine, err = panels(k, edges)
+        fine, err = _gl_panels(parts[k], edges[:2], edges[1:])
         value_sum += float(np.sum(fine)) - value[w]
         err_sum += float(np.sum(err)) - error[w]
-        store(w, k, edges[:2], fine[:1], err[:1])
-        store(n, k, edges[1:], fine[1:], err[1:])
+        store(w, k, a, edges[1], fine[:1], err[:1])
+        store(n, k, edges[1], b, fine[1:], err[1:])
         n += 1
 
     # near field then far field, each by panel start, summed pairwise: reruns
     # stay bit-identical
     order = np.lexsort((start[:n], side[:n]))
-    return float(np.sum(value[order])), float(np.sum(error[order])) + averaging_err
+    total_err = float(np.sum(error[order])) + averaging_err
+    return t * float(np.sum(value[order])), t * total_err
 
 
 def pulsed_variance(spectrum, window: PulsedWindow) -> float:

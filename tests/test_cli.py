@@ -160,7 +160,16 @@ def test_pulsed_long_window_on_clamped_model(tmp_path):
     assert doc["quadrature_error"] <= 1e-6 * doc["pulsed_variance"]
 
 
-@pytest.mark.parametrize("t", ["inf", "nan", "0", "-1e-6"])
+@pytest.mark.parametrize("t, factor", [("1e-170", "1.995262"), ("1e-300", "1.995262"),
+                                      ("1e160", "1.000000")])
+def test_pulsed_example_at_extreme_windows(tmp_path, capsys, t, factor):
+    # T^2 would under- or overflow at these windows; the engine works in lobes
+    assert run("--out", tmp_path, "pulsed", "--example", f"--T={t}") == 0
+    assert f"improvement factor  : {factor}" in capsys.readouterr().out
+
+
+# 5e-324 is positive, but 1000 / T, where the near field ends, overflows
+@pytest.mark.parametrize("t", ["inf", "nan", "0", "-1e-6", "5e-324"])
 def test_pulsed_rejects_window_that_is_not_finite_and_positive(tmp_path, capsys, t):
     assert run("--out", tmp_path, "pulsed", "--example", f"--T={t}") == 2
     assert "'--T'" in capsys.readouterr().err
@@ -417,7 +426,10 @@ def test_no_command_imports_scipy(tmp_path):
 import sys
 sys.modules["scipy"] = None
 from sqzsim.cli import main
+from sqzsim.pulsed import _lobe_table
 
+# the near-field lobe table is built on first use, not at import
+assert _lobe_table.cache_info().currsize == 0
 out = sys.argv[1]
 assert main(["--out", out, "--seed", "1", "pulsed", "--example"]) == 0
 # np.unique would import numpy.ma on its first call

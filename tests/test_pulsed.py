@@ -17,7 +17,7 @@ from sqzsim import (
     pulsed_variance_with_error,
     squeezed_variance,
 )
-from sqzsim.pulsed import _distinct_sorted
+from sqzsim.pulsed import _GL_WEIGHTS, _distinct_sorted, _lobe_table, _sinc2
 
 T_1US = PulsedWindow(duration=1e-6)
 
@@ -120,6 +120,10 @@ def test_window_validation():
     for bad in (0.0, -1e-6, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and positive"):
             PulsedWindow(duration=bad)
+    # the near field ends at 1000 / T, which must be a float
+    for short in (5e-324, 1e-306):
+        with pytest.raises(ValueError, match="too short"):
+            PulsedWindow(duration=short)
 
 
 # closed-form oracles over windows from 1 ns to 10 ms; the engine switches to
@@ -146,33 +150,83 @@ def test_opo_term_matches_wiener_khinchin_closed_form(t):
     _assert_matches(Spectrum(lambda f: squeezed_variance(opo, f)), t, exact)
 
 
-@pytest.mark.parametrize("t", ORACLE_WINDOWS)
-def test_piecewise_bands_match_sine_integral_closed_form(t):
+def _sine_integral_closed_form(spec, t):
+    """Band by band through int_0^X sin^2(u) / u^2 du = Si(2X) - sin^2(X) / X."""
     from scipy.special import sici
 
+    def band(x):
+        return sici(2 * x)[0] - math.sin(x) ** 2 / x
+
+    upto = [band(math.pi * b * t) for b in spec.breakpoints] + [math.pi / 2]
+    levels = spec.values + (spec.tail_value,)
+    return t / math.pi * sum(v * (hi - lo) for v, lo, hi in zip(levels, [0.0] + upto, upto))
+
+
+@pytest.mark.parametrize("t", ORACLE_WINDOWS)
+def test_piecewise_bands_match_sine_integral_closed_form(t):
     # one breakpoint lies beyond 1000 / T, off the sinc zeros, where only the
     # per-breakpoint term of the error budget covers the lobe average
     spec = PiecewiseSpectrum(
         breakpoints=sorted((50e3, 2e6, 1000.25 / t)), values=(1.0, 0.5, 0.8),
         tail_value=0.6,
     )
+    _assert_matches(spec, t, _sine_integral_closed_form(spec, t))
 
-    def band(x):  # int_0^x sin^2(u) / u^2 du
-        return sici(2 * x)[0] - math.sin(x) ** 2 / x
 
-    upto = [band(math.pi * b * t) for b in spec.breakpoints] + [math.pi / 2]
-    levels = spec.values + (spec.tail_value,)
-    exact = t / math.pi * sum(v * (hi - lo) for v, lo, hi in zip(levels, [0.0] + upto, upto))
-    _assert_matches(spec, t, exact)
+# breakpoints in lobes (b T): on a lobe edge, inside a lobe, two in one lobe,
+# and inside lobe 0 as in the --example spectrum at T = 1 us; T = 2^-20 s
+# makes b T exact
+@pytest.mark.parametrize("t, lobes_at", [
+    (2.0**-20, (3.0,)),
+    (2.0**-20, (3.5,)),
+    (2.0**-20, (7.25, 7.75)),
+    (1e-6, (0.05,)),
+])
+def test_breakpoints_in_the_near_field_match_sine_integral(t, lobes_at):
+    spec = PiecewiseSpectrum(
+        breakpoints=tuple(u / t for u in lobes_at), values=(1.0, 0.3)[: len(lobes_at)],
+        tail_value=0.6,
+    )
+    exact = _sine_integral_closed_form(spec, t)
+    value, err = pulsed_variance_with_error(spec, PulsedWindow(duration=t))
+    assert abs(value - exact) <= 1e-9 * exact
+    assert abs(value - exact) <= err
+
+
+def test_sinc2_kernels_match_mpmath():
+    import mpmath
+
+    def rel_err(got, u, scale=1.0):
+        with mpmath.workdps(30):
+            x = mpmath.pi * mpmath.mpf(float(u))
+            want = (mpmath.sin(x) / x) ** 2 * mpmath.mpf(float(scale))
+            return float(abs(mpmath.mpf(float(got)) / want - 1))
+
+    # the table's weights are half the GL weight times sinc^2 at its node
+    nodes, weights = _lobe_table()
+    for k in (0, 1, 499, 999):
+        for u, w, gl in zip(nodes[k], weights[k], _GL_WEIGHTS):
+            assert rel_err(w, u, gl / 2) <= 1e-15, (k, u)
+    u = np.random.default_rng(7).uniform(0.0, 1000.0, 500)
+    for ui, got in zip(u, _sinc2(u)):
+        assert rel_err(got, ui) <= 1e-15, ui
+
+
+def test_refinement_cap_names_the_largest_error_source():
+    # a square wave with undeclared jumps every 0.15 lobes: each jump needs
+    # its own run of bisections, more than the refinement budget allows
+    wave = Spectrum(lambda f: 1.5 + 0.5 * np.sign(np.sin(2 * np.pi * np.asarray(f) * 3.3e-6)))
+    with pytest.raises(RuntimeError, match=r"panels.*near field.*clamp"):
+        pulsed_variance(wave, T_1US)
 
 
 _EDGES = st.lists(st.sampled_from([0.0, 1e-300, 0.125, 1.0, 5e4, 1e9]), max_size=12)
 
 
-@given(st.lists(_EDGES, min_size=1, max_size=3).filter(lambda arrays: arrays[0]))
+@given(st.lists(_EDGES, min_size=1, max_size=3))
 def test_edge_sets_match_np_unique(arrays):
     # the reference the panel edges are built to reproduce bit for bit; the
-    # first array (lobe or far-field grid) is never empty
+    # cuts of a spectrum without near-field breakpoints are empty
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     got = _distinct_sorted(*arrays)
     assert got.tobytes() == np.unique(np.concatenate(arrays)).tobytes()
