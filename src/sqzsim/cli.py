@@ -55,11 +55,11 @@ from .quantum import ModeVariancePair, check_physicality, duan_inseparability
 from .spectra import Spectrum
 
 # peak memory of `synth` in record sizes (8 bytes per sample), above the
-# import baseline; measured with numpy 2.4 on Linux x86-64: 4.2x (166 MB peak
-# for a 32 MB record at n = 2^22, 31 MB after import; 4.9x at n = 2^20, where
-# the fixed overhead weighs more), plus a margin. Synthesis cannot go below
-# 3.5x: the Fourier bins are one record, and irfft adds its output and 1.5
-# records of scratch.
+# import baseline; measured with numpy 2.4 on Linux x86-64: 4.2x (165 MB peak
+# for a 32 MB record at n = 2^22, 31 MB after import; 4.8x at n = 2^20, where
+# the fixed overhead weighs more), plus a margin. The peak falls inside
+# irfft: the Fourier bins are one record and are the only record-sized array
+# before it, and irfft adds about three more, its output and its scratch.
 SYNTH_PEAK_PER_RECORD = 6
 
 # the electronic noise of a detected record is drawn this many samples at a

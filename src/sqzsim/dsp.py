@@ -6,6 +6,12 @@ Conventions, fixed so golden outputs stay stable:
   to V over [0, fs/2]. Unit-variance white noise is flat at 2/fs.
 * A shot-normalized spectrum value of 1.0 synthesizes to samples of unit
   variance (SHOT_NOISE_VARIANCE below).
+* Synthesis holds one record-sized array, the Fourier bins, before the
+  inverse transform. The spectrum is evaluated a block of frequencies at a
+  time on the calling thread, and the amplitudes are parked in the bins'
+  imaginary slots, while one helper thread draws the real parts. The draw
+  order and the operations on each bin are those of the whole-array form,
+  so records are byte-identical to it.
 * Welch: periodic Hann window, 50% overlap, no detrending, computed in
   numpy (no scipy import) over a read-only strided view of the segments.
 * Analyzer emulation: Gaussian resolution-bandwidth kernel (FWHM = rbw),
@@ -18,6 +24,7 @@ bit for bit from (inputs, seed).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +49,10 @@ SHOT_NOISE_VARIANCE = 1.0
 # fixed kernel discretization for the RBW convolution: +-4 sigma, 257 points
 _KERNEL_HALF_WIDTH_SIGMAS = 4.0
 _KERNEL_POINTS = 257
+
+# synthesis evaluates the spectrum and fills the Fourier bins this many
+# frequencies at a time, so each block's temporaries stay in cache
+_SYNTH_BLOCK = 1 << 14
 
 # Welch segments are transformed a block at a time, about this many samples
 # per block, so the temporaries stay a few MB whatever the record length
@@ -126,11 +137,18 @@ def synthesize(spectrum, sample_rate: float, n_samples: int, seed: int) -> TimeS
     is never evaluated at f = 0. A flat spectrum of value 1.0 yields sample
     variance SHOT_NOISE_VARIANCE.
 
-    The bins are filled in place from one reused draw buffer (real parts,
-    then imaginary parts, then Nyquist, in stream order) and multiplied by
-    the amplitude and then by 1/sqrt(2): the operations, in order, of
-    ``amps * (re + 1j*im) / sqrt(2)``, as numpy divides a complex array by a
-    real scalar by multiplying with its reciprocal. Records keep their bytes.
+    The bins are the only record-sized array before the transform. The
+    spectrum is evaluated on this thread, _SYNTH_BLOCK frequencies at a
+    time, and the amplitudes sqrt(n S(f)) are parked in the imaginary
+    slots; meanwhile one helper thread draws the real parts. After the join
+    each block is finished in cache: the real part is multiplied by the
+    amplitude and then by 1/sqrt(2), and the imaginary normals, drawn next,
+    the same way, over the amplitude; the Nyquist bin comes last. The
+    stream order (real parts, imaginary parts, Nyquist), the frequencies
+    (np.fft.rfftfreq's, bit for bit) and the operations on each element are
+    those of ``amps * (re + 1j*im) / sqrt(2)``, as numpy divides a complex
+    array by a real scalar by multiplying with its reciprocal, so records
+    keep their bytes.
     """
     if not sample_rate > 0:
         raise ValueError("sample_rate must be positive")
@@ -138,33 +156,71 @@ def synthesize(spectrum, sample_rate: float, n_samples: int, seed: int) -> TimeS
     if n_samples < 2 or n_samples & (n_samples - 1):
         raise ValueError(f"n_samples must be a power of two >= 2, got {n_samples}")
 
-    freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate)
-    target = np.asarray(spectrum(freqs[1:]), dtype=float)
-    if np.any(~np.isfinite(target)):
-        raise ValueError("spectrum must be finite on (0, sample_rate/2]")
-    if np.any(target < 0):
-        f_bad = float(freqs[1:][target < 0][0])
-        raise ValueError(f"spectrum is negative at {f_bad:.6g} Hz")
-    del freqs
-    # a new array: the spectrum's own result may be read-only or shared
-    amps = n_samples * target
-    del target
-    np.sqrt(amps, out=amps)
-
-    rng = np.random.default_rng(seed)
-    bins = np.empty(n_samples // 2 + 1, dtype=complex)
-    bins[0] = 0.0
-    buf = np.empty(n_samples // 2 - 1)
-    for part in (bins.real, bins.imag):
-        rng.standard_normal(out=buf)
-        buf *= amps[:-1]
-        buf *= 1.0 / np.sqrt(2.0)
-        part[1:-1] = buf
-    del buf
-    bins[-1] = amps[-1] * rng.standard_normal()
-    del amps
-    samples = np.fft.irfft(bins, n_samples)
+    samples = np.fft.irfft(_fourier_bins(spectrum, sample_rate, n_samples, seed), n_samples)
     return TimeSeries(sample_rate=sample_rate, samples=samples, seed=int(seed))
+
+
+def _fourier_bins(spectrum, sample_rate: float, n_samples: int, seed: int) -> np.ndarray:
+    """The scaled Fourier bins of synthesize; the block temporaries and the
+    helper thread are gone when this returns, before the transform."""
+    half = n_samples // 2
+    rng = np.random.default_rng(seed)
+    bins = np.empty(half + 1, dtype=complex)
+    bins[0] = 0.0
+    re, amps = bins.real[1:-1], bins.imag[1:]
+    block = np.empty(min(_SYNTH_BLOCK, re.size))
+    failed = []
+
+    def draw_real_parts():
+        # touches only the generator and bins.real
+        try:
+            for a in range(0, re.size, _SYNTH_BLOCK):
+                z = block[: min(_SYNTH_BLOCK, re.size - a)]
+                rng.standard_normal(out=z)
+                re[a:a + z.size] = z
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    helper = threading.Thread(target=draw_real_parts, name="synthesize-real-parts")
+    helper.start()
+    try:
+        df = 1.0 / (n_samples * (1.0 / sample_rate))  # as np.fft.rfftfreq has it
+        f_bad = None
+        for a in range(0, half, _SYNTH_BLOCK):
+            freqs = np.arange(a + 1, min(a + _SYNTH_BLOCK, half) + 1) * df
+            target = np.asarray(spectrum(freqs), dtype=float)
+            if not np.isfinite(target).all():
+                raise ValueError("spectrum must be finite on (0, sample_rate/2]")
+            if f_bad is None:
+                negative = target < 0
+                if negative.any():
+                    f_bad = float(freqs[negative][0])
+                    continue
+                # written out of place: the spectrum's own result may be
+                # read-only or shared
+                amp = amps[a:a + freqs.size]
+                np.multiply(n_samples, target, out=amp)
+                np.sqrt(amp, out=amp)
+    finally:
+        helper.join()
+    if f_bad is not None:
+        raise ValueError(f"spectrum is negative at {f_bad:.6g} Hz")
+    if failed:
+        raise failed[0]
+
+    scale = 1.0 / np.sqrt(2.0)
+    for a in range(0, re.size, _SYNTH_BLOCK):
+        part = re[a:a + _SYNTH_BLOCK]
+        amp = amps[a:a + part.size]
+        part *= amp
+        part *= scale
+        z = block[: amp.size]
+        rng.standard_normal(out=z)
+        z *= amp
+        z *= scale
+        amp[...] = z
+    bins[-1] = amps[-1] * rng.standard_normal()
+    return bins
 
 
 def _welch_nperseg(sample_rate: float, rbw: float) -> int:

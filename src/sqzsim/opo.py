@@ -62,6 +62,10 @@ class OpoParams:
             )
 
 
+# sideband frequencies are clamped to this many cavity half-widths
+_X_MAX = 1e150
+
+
 def _check_freq(f):
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):
@@ -73,8 +77,12 @@ def _lorentzian_terms(params: OpoParams, f):
     # S- = 1 - eta 4 sig / B and S+ = 1 + eta 4 sig / A, written through the
     # shared factors A = (1-sig)^2 + x^2, B = (1+sig)^2 + x^2 (note B - A =
     # 4 sig); the rational form keeps the lossless identity S- S+ = 1 exact
-    # to rounding even as sig -> 1
-    x2 = (f / params.cavity_hwhm) ** 2
+    # to rounding even as sig -> 1. Beyond _X_MAX half-widths (1 +- sig)^2 is
+    # far below half an ulp of x^2, so A = B = x^2 and A/B = 1 exactly;
+    # clamping f there changes no finite value and keeps x^2 from
+    # overflowing to inf/inf = NaN
+    f_c = params.cavity_hwhm
+    x2 = (np.minimum(f, _X_MAX * f_c) / f_c) ** 2
     sig = params.pump_ratio
     return (1.0 - sig) ** 2 + x2, (1.0 + sig) ** 2 + x2
 

@@ -168,6 +168,14 @@ def test_pulsed_example_at_extreme_windows(tmp_path, capsys, t, factor):
     assert f"improvement factor  : {factor}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", ["plus", "minus"])
+def test_pulsed_model_at_a_window_reaching_past_float_squares(tmp_path, capsys, mode):
+    # the near field runs to 1000 / T = 1e173 Hz, where S = 1
+    assert run("--out", tmp_path, "pulsed", "--model", mode, "--assume-feedback",
+               "--T", 1e-170) == 0
+    assert "improvement factor  : 1.000000" in capsys.readouterr().out
+
+
 # 5e-324 is positive, but 1000 / T, where the near field ends, overflows
 @pytest.mark.parametrize("t", ["inf", "nan", "0", "-1e-6", "5e-324"])
 def test_pulsed_rejects_window_that_is_not_finite_and_positive(tmp_path, capsys, t):
@@ -437,6 +445,9 @@ assert "numpy.ma" not in sys.modules
 for argv in (["spectrum", "--points", "64"], ["synth", "--n-samples", "4096"],
              ["analyze", out + "/timeseries_minus.sqts"], ["criteria"]):
     assert main(["--out", out, "--seed", "1", *argv]) == 0, argv
+# synthesis draws on a plain threading.Thread, not an executor or a pool
+for name in ("concurrent.futures", "multiprocessing"):
+    assert name not in sys.modules, name
 """
     fresh_python(script, tmp_path)
 

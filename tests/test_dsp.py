@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,7 @@ from sqzsim import (
     total_spectrum,
     welch_psd,
 )
+from sqzsim.dsp import _SYNTH_BLOCK
 
 FS = 1e6
 
@@ -82,10 +85,97 @@ def test_synthesized_bytes_are_frozen(name, seed):
     assert hashlib.sha256(ts.samples.tobytes()).hexdigest() == SYNTH_DIGESTS[name, seed]
 
 
+# sha256 of synthesize(spectrum, 25 MHz, n, 1).samples at the edges of the
+# blocks the bins are filled in: n = 2 has only the Nyquist bin, 2^20 spans
+# 32 blocks. Frozen from the build that evaluated the spectrum in one call
+EDGE_DIGESTS = {
+    ("flat", 2): "14372daf0c375007e994fd3b4cf770554c41681d70c9c3a75120d51b000a9f08",
+    ("flat", 4): "015c7dafd545a46d04740d6fbcae5cad79586e5cefb9f3644011ab1b92064931",
+    ("flat", 2**10): "617b418ce3e3ed6ff7bcf1cd95c83a0c1a50d63f87a4badd79be3bae80f39e24",
+    ("flat", 2**20): "6ed61b7926321fa833a34d8b8757b69b770803ea6e4b39872ebeb2527b1331d9",
+    ("model", 2): "0aeb33ad2898e2ba407c5a1b774dcfcc2c26b712e32906e4c03234e59fd5d5bb",
+    ("model", 4): "ab343af0cc4d192b58588ae63b1eb9fc13cbd0ce74857498683adee46aee442a",
+    ("model", 2**10): "bf8982c3acba30772d399461796e05a93a9fb1252b5b54bbf09d92fdb8171332",
+    ("model", 2**20): "15aae49ef4e06aaf55cdc046107a48f212103ce348b5eda5efe504a0f52d7c89",
+}
+
+
+@pytest.mark.parametrize("name, n", list(EDGE_DIGESTS))
+def test_synthesized_bytes_are_frozen_at_block_edges(name, n):
+    ts = synthesize(synth_spectrum(name), 25e6, n, 1)
+    assert hashlib.sha256(ts.samples.tobytes()).hexdigest() == EDGE_DIGESTS[name, n]
+
+
+def test_synthesize_names_a_negative_value_in_the_last_block():
+    n = 4 * _SYNTH_BLOCK
+    freqs = np.fft.rfftfreq(n, d=1.0 / FS)
+    f_bad = freqs[-3]
+    with pytest.raises(ValueError, match=f"spectrum is negative at {f_bad:.6g} Hz"):
+        synthesize(Spectrum(lambda f: np.where(f >= f_bad, -1.0, 1.0)), FS, n, 1)
+
+
+def test_synthesize_non_finite_beats_an_earlier_negative():
+    n = 4 * _SYNTH_BLOCK
+    f_nan = np.fft.rfftfreq(n, d=1.0 / FS)[-2]
+
+    def spectrum(f):
+        return np.where(f < 1e3, -1.0, np.where(f == f_nan, np.nan, 1.0))
+
+    with pytest.raises(ValueError, match="must be finite"):
+        synthesize(Spectrum(spectrum), FS, n, 1)
+
+
+def test_synthesize_failure_leaves_no_thread_running():
+    before = threading.active_count()
+
+    def spectrum(f):
+        raise ZeroDivisionError("spectrum failed")
+
+    with pytest.raises(ZeroDivisionError):
+        synthesize(Spectrum(spectrum), FS, 4 * _SYNTH_BLOCK, 1)
+    assert threading.active_count() == before
+
+
+def test_synthesize_calls_the_spectrum_on_the_calling_thread():
+    seen = set()
+
+    def spectrum(f):
+        seen.add(threading.get_ident())
+        return np.ones_like(f)
+
+    synthesize(Spectrum(spectrum), FS, 4 * _SYNTH_BLOCK, 1)
+    assert seen == {threading.get_ident()}
+
+
+def test_concurrent_syntheses_keep_their_bytes():
+    # more callers than cores, each with its own helper thread, switching
+    # often; every record must equal the one made alone
+    spectrum, n, seeds = synth_spectrum("model"), 4 * _SYNTH_BLOCK, range(6)
+    alone = [synthesize(spectrum, 25e6, n, seed).samples.tobytes() for seed in seeds]
+    together = [None] * len(alone)
+
+    def work(i):
+        together[i] = synthesize(spectrum, 25e6, n, seeds[i]).samples.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(alone))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert together == alone
+
+
 @pytest.mark.parametrize("name", ["flat", "model"])
 def test_synthesize_peak_memory_is_bins_and_record(name):
-    # the bins and the record are one record size each; the model spectrum's
-    # evaluation adds its own temporaries (measured 2.0x flat, 2.5x model)
+    # the bins and the record are one record size each; the spectrum is
+    # evaluated a block at a time, so its temporaries stay small (measured
+    # 2.0x for both)
     n = 2**18
     spectrum = synth_spectrum(name)
     synthesize(spectrum, 25e6, 2**4, 1)  # lazy numpy imports outside the trace
@@ -95,7 +185,7 @@ def test_synthesize_peak_memory_is_bins_and_record(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.75 * 8 * n, f"{peak / (8 * n):.2f} record sizes"
+    assert peak <= 2.25 * 8 * n, f"{peak / (8 * n):.2f} record sizes"
 
 
 def test_synthesize_leaves_the_spectrum_values_alone():

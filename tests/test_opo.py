@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,17 @@ def test_closed_form_at_dc():
 def test_far_outside_bandwidth_is_vacuum():
     assert squeezed_variance(LOSSLESS_HALF, 1e12) == pytest.approx(1.0, abs=1e-6)
     assert antisqueezed_variance(LOSSLESS_HALF, 1e12) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("variance", [squeezed_variance, antisqueezed_variance])
+def test_vacuum_where_the_frequency_squared_would_overflow(variance):
+    # (f / f_c)^2 overflows from about 1e162 Hz; inf / inf would give NaN
+    p = OpoParams()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = variance(p, np.array([1e200, 1e300, np.inf]))
+        assert np.all(far == variance(p, 1e150))
+        assert variance(p, 1e200) == variance(p, 1e150)
 
 
 @settings(max_examples=100, deadline=None)
