@@ -38,13 +38,15 @@ class ClassicalNoiseConfig:
     lf_amp: float = 0.75
 
     def __post_init__(self):
+        # every comparison with NaN is false, so NaN fails each check
         for name in ("relax_amp_plus", "relax_amp_minus", "lf_amp"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not self.relax_fwhm > 0:
-            raise ValueError("relax_fwhm must be positive")
-        if not self.lf_knee > 0:
-            raise ValueError("lf_knee must be positive")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("relax_center", "relax_fwhm", "lf_knee"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not -np.inf < self.lf_exponent < np.inf:
+            raise ValueError(f"lf_exponent must be finite, got {self.lf_exponent}")
 
     @classmethod
     def zero(cls) -> "ClassicalNoiseConfig":

@@ -20,9 +20,11 @@ exact to rounding because sin^2(pi (k + v)) = sin^2(pi v) keeps the sine's
 argument within pi/2. A lobe that a spectrum breakpoint falls inside is cut
 there into generic panels. The far field u > N takes the lobe-averaged
 kernel 1/(2 pi^2 u^2) in w = N/u, where the integrand is S(x/w) / (2 pi^2 N)
-on (0, 1] and breakpoints beyond x are panel edges. Panels of both fields
-(16 nodes, checked against 8, from one spectrum call) share one table, in
-which the worst panel is bisected until the summed estimate meets the
+on (0, 1] and breakpoints beyond x are panel edges. The lobe table is
+evaluated in chunks of at most 4096 nodes, then one spectrum call covers
+everything else: x, the breakpoints beyond it and the nodes of the other
+panels. Panels of both fields (16 nodes, checked against 8) share one table,
+in which the worst panel is bisected until the summed estimate meets the
 relative tolerance. The returned error adds what the lobe average drops:
 S(x) T / (4 pi^4 N^3) for the smooth far field and |dS| / (4 pi^3 T b^2)
 per jump dS at a b > x.
@@ -47,17 +49,17 @@ __all__ = [
     "clamp_to_shot_below",
 ]
 
-# the GL16 nodes then the GL8 nodes, and their weights: one spectrum call
-# serves both rules
 _N_FINE = 16
-_GL_NODES, _GL_WEIGHTS = np.hstack(
-    (np.polynomial.legendre.leggauss(_N_FINE), np.polynomial.legendre.leggauss(8))
-)
-
 _N_LOBES = 1_000
 _REL_TOL = 1e-6
 _MAX_REFINEMENTS = 4000
 _CHUNK_NODES = 4096
+
+# the panels of a spectrum without breakpoints: every near-field lobe whole,
+# and the far field in eighths of w
+_LOBE_STARTS = np.arange(float(_N_LOBES))
+_FAR_EDGES = np.linspace(0.0, 1.0, 9)
+_LOBE_STARTS.flags.writeable = _FAR_EDGES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -120,13 +122,13 @@ def _checked(spectrum):
     def s(nu):
         with np.errstate(over="ignore"):
             out = np.asarray(spectrum(nu), dtype=float)
-        if np.any(~np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise ValueError(
                 "spectrum is unbounded on the integration range; if it diverges "
                 "at low frequency, clamp it (e.g. clamp_to_shot_below) to model "
                 "a feedback-stabilized source"
             )
-        if np.any(out < 0):
+        if (out < 0).any():
             raise ValueError("spectrum is negative on the integration range")
         return out
 
@@ -141,12 +143,25 @@ def _sinc2(u):
 
 
 @functools.cache
+def _gl_rule():
+    """The GL16 nodes then the GL8 nodes on [-1, 1], and their weights: one
+    spectrum call serves both rules. Built on first use, so that importing
+    the package does not import numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = np.hstack((leggauss(_N_FINE), leggauss(8)))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.cache
 def _lobe_table():
     """Nodes u = k + (g + 1)/2 of every whole near-field lobe [k, k + 1],
     GL16 then GL8, and their weights: half the GL weight times sinc^2(u).
     Built on first use, so importing the package does not pay for it."""
-    nodes = np.arange(_N_LOBES)[:, None] + 0.5 * (_GL_NODES + 1.0)
-    weights = 0.5 * _GL_WEIGHTS * _sinc2(nodes)
+    gl_nodes, gl_weights = _gl_rule()
+    nodes = np.arange(_N_LOBES)[:, None] + 0.5 * (gl_nodes + 1.0)
+    weights = 0.5 * gl_weights * _sinc2(nodes)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -158,21 +173,26 @@ def _lobe_panels(s, t):
     trims the heap."""
     nodes, weights = _lobe_table()
     fine, coarse = np.empty(_N_LOBES), np.empty(_N_LOBES)
-    step = _CHUNK_NODES // _GL_NODES.size
+    step = _CHUNK_NODES // nodes.shape[1]
     for c in range(0, _N_LOBES, step):
         rows = slice(c, c + step)
-        vals = s((nodes[rows] / t).ravel()).reshape(-1, _GL_NODES.size) * weights[rows]
+        vals = s((nodes[rows] / t).ravel()).reshape(-1, nodes.shape[1]) * weights[rows]
         fine[rows] = vals[:, :_N_FINE].sum(axis=1)
         coarse[rows] = vals[:, _N_FINE:].sum(axis=1)
     return fine, np.abs(fine - coarse)
 
 
-def _gl_panels(g, a, b):
-    """GL16 value and |GL16 - GL8| of g on the panels [a, b], both rules
-    from one call of g."""
+def _gl_nodes(a, b):
+    """Half-widths of the panels [a, b] and their GL16 then GL8 nodes, panel
+    by panel in one flat array."""
     half = 0.5 * (b - a)
-    x = a[:, None] + half[:, None] * (_GL_NODES + 1.0)
-    vals = g(x.ravel()).reshape(x.shape) * _GL_WEIGHTS
+    return half, (a[:, None] + half[:, None] * (_gl_rule()[0] + 1.0)).ravel()
+
+
+def _gl_sums(half, vals):
+    """GL16 value and |GL16 - GL8| of each panel from the integrand's values
+    at its _gl_nodes."""
+    vals = vals.reshape(half.size, -1) * _gl_rule()[1]
     fine = half * vals[:, :_N_FINE].sum(axis=1)
     return fine, np.abs(fine - half * vals[:, _N_FINE:].sum(axis=1))
 
@@ -190,34 +210,57 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     x = _N_LOBES / t
     s = _checked(spectrum)
     # near field in lobes u = nu T; far field in w = x / nu under the
-    # lobe-averaged kernel; both integrals are in units of T
-    parts = (
-        lambda u: s(u / t) * _sinc2(u),
-        lambda w: s(x / w) / (2.0 * np.pi**2 * _N_LOBES),
+    # lobe-averaged kernel; both integrals are in units of T. Per field: the
+    # frequency at a node, and the integrand from the spectrum's value there
+    freq = (lambda u: u / t, lambda w: x / w)
+    integrand = (
+        lambda u, sv: sv * _sinc2(u),
+        lambda w, sv: sv / (2.0 * np.pi**2 * _N_LOBES),
     )
-    bp = np.asarray(getattr(spectrum, "breakpoints", ()), dtype=float)
-    with np.errstate(over="ignore"):  # one beyond the float range lies at w = 0
-        lobes_at = bp * t
-    inside = lobes_at[(lobes_at > 0) & (lobes_at < _N_LOBES)]
-    inside = inside[inside != np.floor(inside)]
-    far = lobes_at > _N_LOBES
-    far_bp, far_at = bp[far], lobes_at[far]
 
     # whole lobes come from the table; a lobe with a breakpoint inside is cut
-    # there into generic panels, dropping the gaps between such lobes
-    cut_lobes = np.floor(inside)
-    whole = np.ones(_N_LOBES, dtype=bool)
-    whole[cut_lobes.astype(int)] = False
-    lobes = np.flatnonzero(whole).astype(float)
-    cuts = _distinct_sorted(cut_lobes, cut_lobes + 1.0, inside)
-    in_cut_lobe = ~whole[cuts[:-1].astype(int)]
-    far_edges = _distinct_sorted(np.linspace(0.0, 1.0, 9), _N_LOBES / far_at)
+    # there into generic panels, dropping the gaps between such lobes;
+    # breakpoints beyond x are far-field panel edges
+    whole = slice(None)
+    lobes, far_edges = _LOBE_STARTS, _FAR_EDGES
+    cut_a = cut_b = far_bp = far_at = np.empty(0)
+    bp = np.asarray(getattr(spectrum, "breakpoints", ()), dtype=float)
+    if bp.size:
+        with np.errstate(over="ignore"):  # one beyond the float range lies at w = 0
+            lobes_at = bp * t
+        inside = lobes_at[(lobes_at > 0) & (lobes_at < _N_LOBES)]
+        inside = inside[inside != np.floor(inside)]
+        if inside.size:
+            cut_lobes = np.floor(inside)
+            whole = np.ones(_N_LOBES, dtype=bool)
+            whole[cut_lobes.astype(int)] = False
+            lobes = np.flatnonzero(whole).astype(float)
+            cuts = _distinct_sorted(cut_lobes, cut_lobes + 1.0, inside)
+            in_cut_lobe = ~whole[cuts[:-1].astype(int)]
+            cut_a, cut_b = cuts[:-1][in_cut_lobe], cuts[1:][in_cut_lobe]
+        far = lobes_at > _N_LOBES
+        far_bp, far_at = bp[far], lobes_at[far]
+        if far_bp.size:
+            far_edges = _distinct_sorted(_FAR_EDGES, _N_LOBES / far_at)
+
+    # one spectrum call for everything outside the lobe table: the far-field
+    # breakpoints and the floats just below them, x, then the nodes of the
+    # cut-lobe and the far-field panels
+    panels = [
+        (k, a, b, *_gl_nodes(a, b))
+        for k, a, b in ((0, cut_a, cut_b), (1, far_edges[:-1], far_edges[1:]))
+        if a.size
+    ]
+    sv = s(np.concatenate(
+        (far_bp, np.nextafter(far_bp, 0.0), [x], *(freq[k](z) for k, *_, z in panels))
+    ))
+    nf = far_bp.size
 
     # what the lobe average drops, beyond reach of refinement: the next term
     # of the flat tail's series, and the boundary term of each jump beyond x
-    jumps = np.abs(s(far_bp) - s(np.nextafter(far_bp, 0.0)))
+    jumps = np.abs(sv[:nf] - sv[nf : 2 * nf])
     averaging_err = float(
-        s(x) / (4.0 * np.pi**4 * _N_LOBES**3)
+        sv[2 * nf] / (4.0 * np.pi**4 * _N_LOBES**3)
         + np.sum(jumps / (4.0 * np.pi**3 * far_at) / far_at)
     )
 
@@ -226,12 +269,10 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     # appends the right half, so the table has room for _MAX_REFINEMENTS more
     fine, err = _lobe_panels(s, t)
     initial = [(0, lobes, lobes + 1.0, fine[whole], err[whole])]
-    for k, a, b in (
-        (0, cuts[:-1][in_cut_lobe], cuts[1:][in_cut_lobe]),
-        (1, far_edges[:-1], far_edges[1:]),
-    ):
-        if a.size:
-            initial.append((k, a, b, *_gl_panels(parts[k], a, b)))
+    at = 2 * nf + 1
+    for k, a, b, half, z in panels:
+        initial.append((k, a, b, *_gl_sums(half, integrand[k](z, sv[at : at + z.size]))))
+        at += z.size
     cap = sum(p[1].size for p in initial) + _MAX_REFINEMENTS
     side = np.empty(cap, dtype=np.int8)
     start, end, value, error = (np.empty(cap) for _ in range(4))
@@ -250,6 +291,7 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
         value_sum += float(np.sum(fine))
         err_sum += float(np.sum(err))
     err_sum += averaging_err
+    in_order = not cut_a.size  # (side, start) order until a cut or a refinement
 
     while err_sum > _REL_TOL * abs(value_sum) and abs(value_sum) != 0.0:
         if n == cap:
@@ -269,19 +311,23 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
             )
         # the worst panel: largest error, ties to the lowest start
         tied = np.flatnonzero(error[:n] == error[:n].max())
-        w = tied[np.lexsort((side[tied], value[tied], end[tied], start[tied]))[0]]
+        if tied.size > 1:
+            tied = tied[np.lexsort((side[tied], value[tied], end[tied], start[tied]))]
+        w = tied[0]
         a, b, k = start[w], end[w], side[w]
         edges = np.array([a, 0.5 * (a + b), b])
-        fine, err = _gl_panels(parts[k], edges[:2], edges[1:])
+        half, z = _gl_nodes(edges[:2], edges[1:])
+        fine, err = _gl_sums(half, integrand[k](z, s(freq[k](z))))
         value_sum += float(np.sum(fine)) - value[w]
         err_sum += float(np.sum(err)) - error[w]
         store(w, k, a, edges[1], fine[:1], err[:1])
         store(n, k, edges[1], b, fine[1:], err[1:])
         n += 1
+        in_order = False
 
     # near field then far field, each by panel start, summed pairwise: reruns
     # stay bit-identical
-    order = np.lexsort((start[:n], side[:n]))
+    order = slice(n) if in_order else np.lexsort((start[:n], side[:n]))
     total_err = float(np.sum(error[order])) + averaging_err
     return t * float(np.sum(value[order])), t * total_err
 

@@ -427,6 +427,22 @@ def test_float_options_that_are_not_finite_are_config_errors(tmp_path, capsys, m
     assert f"'{flag}'" in err and "finite" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    *((field, value) for field in (
+        "relax_center", "relax_fwhm", "relax_amp_plus", "relax_amp_minus", "lf_knee",
+        "lf_exponent", "lf_amp",
+    ) for value in (math.nan, math.inf)),
+    ("relax_center", 0.0),
+    ("relax_center", -1e6),
+])
+def test_noise_values_out_of_domain_are_config_errors(tmp_path, capsys, field, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"noise": {field: value}}))
+    assert run("--config", path, "--out", tmp_path, "pulsed", "--model", "minus",
+               "--assume-feedback") == 2
+    assert f"key 'noise': {field} must be finite" in capsys.readouterr().err
+
+
 def test_no_command_imports_scipy(tmp_path):
     # a fresh interpreter in which any scipy import raises; this one has
     # imported scipy for other tests
@@ -434,6 +450,8 @@ def test_no_command_imports_scipy(tmp_path):
 import sys
 sys.modules["scipy"] = None
 from sqzsim.cli import main
+# the Gauss-Legendre rule is built on first use, with numpy.polynomial
+assert "numpy.polynomial" not in sys.modules
 from sqzsim.pulsed import _lobe_table
 
 # the near-field lobe table is built on first use, not at import
