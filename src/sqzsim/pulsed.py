@@ -291,7 +291,6 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
         value_sum += float(np.sum(fine))
         err_sum += float(np.sum(err))
     err_sum += averaging_err
-    in_order = not cut_a.size  # (side, start) order until a cut or a refinement
 
     while err_sum > _REL_TOL * abs(value_sum) and abs(value_sum) != 0.0:
         if n == cap:
@@ -323,11 +322,10 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
         store(w, k, a, edges[1], fine[:1], err[:1])
         store(n, k, edges[1], b, fine[1:], err[1:])
         n += 1
-        in_order = False
 
     # near field then far field, each by panel start, summed pairwise: reruns
     # stay bit-identical
-    order = slice(n) if in_order else np.lexsort((start[:n], side[:n]))
+    order = np.lexsort((start[:n], side[:n]))
     total_err = float(np.sum(error[order])) + averaging_err
     return t * float(np.sum(value[order])), t * total_err
 

@@ -258,7 +258,12 @@ def _sweep_spectra():
 # from the engine that made one spectrum call per panel set; the engine may
 # batch its spectrum calls, but must return these bits. The clamped-chain
 # rows ("minus", "plus") are refrozen when ROADMAP item 1 declares the clamp
-# knee as a breakpoint.
+# knee as a breakpoint. Every value rests on the lobe-table weights, so on
+# np.sin, whose float64 loop numpy picks by CPU: these bits (and the
+# breakpoint table below) were frozen with numpy 2.4.6 on an x86-64 CPU with
+# AVX512_SKX, where numpy takes the SVML loop. Elsewhere the libm loop can
+# differ in the last bits, and a failure there is no engine change until the
+# tables, refrozen from the one-call-per-panel-set engine on that host, differ.
 FROZEN_SWEEP = {
     "piecewise": (
         ("0x1.58c18ae8efee5p-29", "0x1.945b0f3e56857p-66"),
