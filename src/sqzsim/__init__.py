@@ -42,7 +42,6 @@ from .opo import (
     AboveThresholdError,
     OpoParams,
     antisqueezed_variance,
-    spectral_covariance,
     squeezed_variance,
 )
 from .pulsed import (
@@ -54,16 +53,7 @@ from .pulsed import (
     pulsed_variance,
     pulsed_variance_with_error,
 )
-from .quantum import (
-    ModeVariancePair,
-    PhysicalityReport,
-    apply_loss,
-    check_physicality,
-    duan_inseparability,
-    rotate_basis,
-    squeezed_mode_variances,
-    two_mode_squeezed_cov,
-)
+from .quantum import ModeVariancePair, duan_inseparability, obeys_uncertainty
 from .spectra import Spectrum, TabulatedSpectrum
 
 __version__ = "0.1.0"

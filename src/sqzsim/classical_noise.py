@@ -66,7 +66,10 @@ def excess_noise(config: ClassicalNoiseConfig, f, mode: str) -> float | np.ndarr
     if np.any(f <= 0):
         raise ValueError("excess noise is defined for f > 0 only")
     hw = 0.5 * config.relax_fwhm
-    lorentz = amp * hw**2 / ((f - config.relax_center) ** 2 + hw**2)
+    # far from the centre the square overflows to inf, and amp hw^2 / inf = 0
+    # is the right value, so that overflow is not worth a warning
+    with np.errstate(over="ignore"):
+        lorentz = amp * hw**2 / ((f - config.relax_center) ** 2 + hw**2)
     lowfreq = config.lf_amp * (config.lf_knee / f) ** config.lf_exponent
     out = lorentz + lowfreq
     return float(out) if out.ndim == 0 else out

@@ -43,7 +43,7 @@ from .fileio import (
     write_trace_csv,
     write_trace_json,
 )
-from .opo import spectral_covariance
+from .opo import antisqueezed_variance, squeezed_variance
 from .pulsed import (
     PiecewiseSpectrum,
     PulsedWindow,
@@ -51,7 +51,7 @@ from .pulsed import (
     flat_window_variance,
     pulsed_variance_with_error,
 )
-from .quantum import ModeVariancePair, check_physicality, duan_inseparability
+from .quantum import ModeVariancePair, duan_inseparability, obeys_uncertainty
 from .spectra import Spectrum
 
 # peak memory of `synth` in record sizes (8 bytes per sample), above the
@@ -360,7 +360,12 @@ def cmd_criteria(cfg: RunConfig, args) -> None:
     insep_det = _inseparability(det, f0)
     insep_src = _inseparability(src, f0)
 
-    phys = check_physicality(spectral_covariance(cfg.opo, f0))
+    # physicality of the source OPO state, in closed form
+    s_sq = squeezed_variance(cfg.opo, f0)
+    s_anti = antisqueezed_variance(cfg.opo, f0)
+    physical = obeys_uncertainty(s_sq, s_anti)
+    detail = ("physical" if physical
+              else f"violates uncertainty relation (S- S+ = {s_sq * s_anti!r})")
 
     crossings = {}
     lo, hi = 5e3, min(5e5, 0.8 * cfg.noise.relax_center)
@@ -377,8 +382,8 @@ def cmd_criteria(cfg: RunConfig, args) -> None:
         "inseparability_source": float(insep_src),
         "effective_detection_efficiency": effective_efficiency(cfg.detection),
         "snl_crossing_hz": crossings,
-        "physical": bool(phys),
-        "physicality_detail": phys.detail,
+        "physical": physical,
+        "physicality_detail": detail,
     }
 
     print(f"inseparability (detected, dark-corrected) at {f0:.6g} Hz: {insep_det:.4f}")
@@ -387,7 +392,7 @@ def cmd_criteria(cfg: RunConfig, args) -> None:
         shown = (f"{fx / 1e3:.2f} kHz" if fx
                  else f"not bracketed in [{lo / 1e3:g}, {hi / 1e3:g}] kHz")
         print(f"shot-noise-limit crossing ({mode} mode): {shown}")
-    print(f"covariance physical at {f0:.6g} Hz: {phys.ok} ({phys.detail})")
+    print(f"covariance physical at {f0:.6g} Hz: {physical} ({detail})")
 
     out = _out_dir(cfg)
     path = out / "criteria_report.json"

@@ -66,9 +66,12 @@ def _build_section(name: str, cls, payload) -> object:
     if not isinstance(payload, dict):
         raise ConfigError(f"key '{name}': expected an object of parameters")
     known = set(cls.__dataclass_fields__)
-    for key in payload:
+    for key, value in payload.items():
         if key not in known:
             raise ConfigError(f"key '{name}.{key}': unknown parameter")
+        # every parameter is a number; bool is an int subclass but not one
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"key '{name}.{key}': expected a number, got {value!r}")
     try:
         return cls(**payload)
     except ValueError as exc:

@@ -17,14 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import rotate_basis
-
 __all__ = [
     "AboveThresholdError",
     "OpoParams",
     "squeezed_variance",
     "antisqueezed_variance",
-    "spectral_covariance",
 ]
 
 
@@ -104,16 +101,3 @@ def antisqueezed_variance(params: OpoParams, f) -> float | np.ndarray:
     out = eta * (b / a) + (1.0 - eta)
     return float(out) if out.ndim == 0 else out
 
-
-def spectral_covariance(params: OpoParams, f: float) -> np.ndarray:
-    """Signal/idler covariance matrix at one sideband frequency.
-
-    The signal and idler modes are individually thermal, with correlations
-    on x and anti-correlations on p; rotating to the superposition basis
-    diagonalizes the matrix into diag(S+, S-, S-, S+).
-    """
-    s_minus = squeezed_variance(params, float(f))
-    s_plus = antisqueezed_variance(params, float(f))
-    rotated = np.diag([s_plus, s_minus, s_minus, s_plus])
-    # the rotation is an involution, so it is its own inverse
-    return rotate_basis(rotated)

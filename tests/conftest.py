@@ -1,30 +1,18 @@
 import numpy as np
-import pytest
 
-from sqzsim import apply_loss, rotate_basis, two_mode_squeezed_cov
-
-
-def local_rotation(theta1: float, theta2: float) -> np.ndarray:
-    """Symplectic phase rotation of each mode, (x1, p1, x2, p2) ordering."""
-    out = np.zeros((4, 4))
-    for k, th in enumerate((theta1, theta2)):
-        c, s = np.cos(th), np.sin(th)
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, s], [-s, c]]
-    return out
+# 50/50 quadrature map from (x1, p1, x2, p2) to (x+, p+, x-, p-)
+SUPERPOSITION = np.array(
+    [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1]]
+) / np.sqrt(2)
+OMEGA = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
 
 
-def random_physical_cov(rng: np.random.Generator) -> np.ndarray:
-    """Random physical two-mode state: squeezing, phase rotations, loss,
-    and nonnegative classical noise on top."""
-    cov = two_mode_squeezed_cov(rng.uniform(-1.0, 1.0))
-    rot = local_rotation(rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
-    cov = rot @ cov @ rot.T
-    if rng.random() < 0.5:
-        cov = rotate_basis(cov)
-    cov = apply_loss(cov, rng.uniform(0.2, 1.0))
-    return cov + np.diag(rng.uniform(0.0, 0.5, size=4))
-
-
-@pytest.fixture
-def rng():
-    return np.random.default_rng(20260810)
+def physical_by_eigenvalues(s_squeezed: float, s_antisqueezed: float) -> bool:
+    """Eigenvalue oracle: V + i Omega >= 0 for the signal/idler covariance V
+    whose superposition form is diag(S+, S-, S-, S+). eigvalsh rounds at a
+    few eps times the largest entry, so the tolerance is relative to it."""
+    rotated = np.diag([s_antisqueezed, s_squeezed, s_squeezed, s_antisqueezed])
+    cov = SUPERPOSITION @ rotated @ SUPERPOSITION.T
+    min_eig = np.linalg.eigvalsh(cov + 1j * OMEGA).min()
+    scale = max(abs(s_squeezed), abs(s_antisqueezed), 1.0)
+    return bool(min_eig >= -16 * np.finfo(float).eps * scale)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -441,6 +442,53 @@ def test_noise_values_out_of_domain_are_config_errors(tmp_path, capsys, field, v
     assert run("--config", path, "--out", tmp_path, "pulsed", "--model", "minus",
                "--assume-feedback") == 2
     assert f"key 'noise': {field} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("noise", "relax_center", "nan"),
+    ("opo", "pump_ratio", "0.4"),
+    ("analyzer", "n_points", "512"),
+    ("detection", "visibility", None),
+])
+def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, section, key,
+                                                          value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    assert run("--config", path, "--out", tmp_path, "criteria") == 2
+    assert f"key '{section}.{key}': expected a number, got {value!r}" in capsys.readouterr().err
+
+
+def test_criteria_at_a_huge_frequency_warns_nothing(tmp_path, capsys):
+    # far from the relaxation peak its Lorentzian's denominator overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("--out", tmp_path, "criteria", "--freq", 1e300) == 0
+    assert "inseparability (detected, dark-corrected) at 1e+300 Hz: 1.0000" in (
+        capsys.readouterr().out)
+
+
+def test_criteria_lossless_state_near_threshold_is_physical(tmp_path, capsys):
+    # S- S+ = 1 here; an eigenvalue test with an absolute tolerance rounds
+    # it to a violation of about -7e-9
+    path = tmp_path / "lossless.json"
+    path.write_text(json.dumps({"opo": {"pump_ratio": 0.99999, "escape_efficiency": 1.0}}))
+    assert run("--config", path, "--out", tmp_path, "criteria", "--freq", 7869.5) == 0
+    assert "covariance physical at 7869.5 Hz: True (physical)" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "criteria_report.json").read_text())
+    assert doc["physical"] is True
+    assert doc["physicality_detail"] == "physical"
+
+
+def test_criteria_reports_a_violated_uncertainty_relation(tmp_path, capsys, monkeypatch):
+    # no OPO state violates it, so hand criteria an anti-squeezed variance of 0.5
+    monkeypatch.setattr(cli, "antisqueezed_variance", lambda params, f: 0.5)
+    assert run("--out", tmp_path, "criteria", "--freq", 3.5e6) == 0
+    doc = json.loads((tmp_path / "criteria_report.json").read_text())
+    jsonschema.validate(doc, schema("criteria_report.schema.json"))
+    s_sq = sqzsim.squeezed_variance(default_config().opo, 3.5e6)
+    assert doc["physical"] is False
+    assert doc["physicality_detail"] == f"violates uncertainty relation (S- S+ = {s_sq * 0.5!r})"
+    assert "3.5e+06 Hz: False (violates uncertainty relation" in capsys.readouterr().out
 
 
 def test_no_command_imports_scipy(tmp_path):

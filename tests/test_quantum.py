@@ -1,132 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_physical_cov
+from conftest import OMEGA, SUPERPOSITION, physical_by_eigenvalues
 from sqzsim import (
     ModeVariancePair,
-    apply_loss,
-    check_physicality,
+    OpoParams,
+    antisqueezed_variance,
     duan_inseparability,
-    rotate_basis,
-    squeezed_mode_variances,
-    two_mode_squeezed_cov,
+    obeys_uncertainty,
+    squeezed_variance,
 )
-from sqzsim.quantum import symplectic_form
-
-COSH1 = 1.5430806348152437
-SINH1 = 1.1752011936438014
-
-
-def test_tmsv_vacuum():
-    assert_allclose(two_mode_squeezed_cov(0.0), np.eye(4), atol=1e-15)
-
-
-def test_tmsv_entries_at_half():
-    v = two_mode_squeezed_cov(0.5)
-    assert_allclose(np.diag(v), COSH1, rtol=1e-15)
-    assert_allclose(v[0, 2], SINH1, rtol=1e-15)
-    assert_allclose(v[1, 3], -SINH1, rtol=1e-15)
-    # every other off-diagonal vanishes
-    mask = np.ones((4, 4), dtype=bool)
-    mask[np.diag_indices(4)] = False
-    for i, j in ((0, 2), (2, 0), (1, 3), (3, 1)):
-        mask[i, j] = False
-    assert np.all(v[mask] == 0.0)
-
-
-def test_tmsv_negative_r_swaps_correlations():
-    v = two_mode_squeezed_cov(-0.5)
-    assert v[0, 2] < 0 < v[1, 3]
-
-
-def test_tmsv_rejects_non_finite():
-    with pytest.raises(ValueError):
-        two_mode_squeezed_cov(np.inf)
-
-
-def test_rotation_matches_explicit_congruence():
-    # independent route: build the 50/50 quadrature map by hand
-    s = np.array(
-        [
-            [1, 0, 1, 0],
-            [0, 1, 0, 1],
-            [1, 0, -1, 0],
-            [0, 1, 0, -1],
-        ]
-    ) / np.sqrt(2)
-    v = two_mode_squeezed_cov(0.5)
-    assert_allclose(rotate_basis(v), s @ v @ s.T, atol=1e-14)
-    assert_allclose(rotate_basis(v)[2, 2], np.exp(-1.0), rtol=1e-12)
-
-
-def test_rotation_of_tmsv_gives_pure_squeezing():
-    for r in (0.1, 0.5, 1.3):
-        out = rotate_basis(two_mode_squeezed_cov(r))
-        assert_allclose(out[0, 0], np.exp(2 * r), rtol=1e-12)  # x+
-        assert_allclose(out[1, 1], np.exp(-2 * r), rtol=1e-12)  # p+
-        assert_allclose(out[2, 2], np.exp(-2 * r), rtol=1e-12)  # x-
-        assert_allclose(out[3, 3], np.exp(2 * r), rtol=1e-12)  # p-
-        off = out - np.diag(np.diag(out))
-        assert np.max(np.abs(off)) < 1e-12
-
-
-def test_rotation_identity_fixed_point():
-    assert_allclose(rotate_basis(np.eye(4)), np.eye(4), atol=1e-15)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_rotation_involution_trace_det(seed):
-    cov = random_physical_cov(np.random.default_rng(seed))
-    out = rotate_basis(cov)
-    assert_allclose(rotate_basis(out), cov, atol=1e-12)
-    assert abs(np.trace(out) - np.trace(cov)) < 1e-10
-    assert abs(np.linalg.det(out) - np.linalg.det(cov)) < 1e-10 * max(
-        1.0, abs(np.linalg.det(cov))
-    )
-
-
-def test_rotate_rejects_asymmetric():
-    bad = np.eye(4)
-    bad[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        rotate_basis(bad)
-
-
-def test_apply_loss_endpoints(rng):
-    cov = random_physical_cov(rng)
-    assert_allclose(apply_loss(cov, 1.0), cov, atol=1e-15)
-    assert_allclose(apply_loss(cov, 0.0), np.eye(4), atol=1e-15)
-    assert_allclose(apply_loss(np.eye(4), 0.37), np.eye(4), atol=1e-15)
-
-
-def test_apply_loss_scalar_arithmetic():
-    cov = np.diag([0.25, 4.0, 0.25, 4.0])
-    out = apply_loss(cov, 0.894)
-    assert_allclose(out[0, 0], 0.894 * 0.25 + 0.106, rtol=1e-12)
-    assert_allclose(out[0, 0], 0.3295, atol=1e-12)
-
-
-@given(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
-def test_apply_loss_domain(eta):
-    if 0.0 <= eta <= 1.0:
-        apply_loss(np.eye(4), eta)
-    else:
-        with pytest.raises(ValueError):
-            apply_loss(np.eye(4), eta)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-def test_loss_preserves_physicality(seed, eta):
-    cov = random_physical_cov(np.random.default_rng(seed))
-    assert check_physicality(apply_loss(cov, eta)).ok
 
 
 def test_duan_examples():
@@ -145,35 +31,82 @@ def test_duan_rejects_nonpositive():
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.0, max_value=3.0))
 def test_duan_of_rotated_tmsv_is_exp_minus_2r(r):
-    pair = squeezed_mode_variances(rotate_basis(two_mode_squeezed_cov(r)))
+    # the two-mode squeezed vacuum in the superposition basis: S+- = e^(+-2r),
+    # and both squeezed quadratures (p+, x-) carry S- = e^(-2r)
+    s_sq, s_anti = np.exp(-2 * r), np.exp(2 * r)
+    pair = ModeVariancePair(s_plus=s_sq, s_minus=s_sq)
     assert_allclose(duan_inseparability(pair), np.exp(-2 * r), rtol=1e-12, atol=1e-12)
+    assert obeys_uncertainty(s_sq, s_anti)
+
+
+def test_rotation_is_an_orthogonal_symplectic_involution():
+    # so V + i Omega >= 0 may be checked in the superposition basis
+    assert_allclose(SUPERPOSITION @ SUPERPOSITION, np.eye(4), atol=1e-15)
+    assert_allclose(SUPERPOSITION @ SUPERPOSITION.T, np.eye(4), atol=1e-15)
+    assert_allclose(SUPERPOSITION @ OMEGA @ SUPERPOSITION.T, OMEGA, atol=1e-15)
+
+
+def test_rotation_of_tmsv_gives_pure_squeezing():
+    # the two-mode squeezed vacuum, built in the signal/idler basis, becomes
+    # diag(S+, S-, S-, S+) with S+- = e^(+-2r), the form obeys_uncertainty assumes
+    for r in (0.1, 0.5, 1.3):
+        c, s = np.cosh(2 * r), np.sinh(2 * r)
+        tmsv = np.array([[c, 0, s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, -s, 0, c]])
+        out = SUPERPOSITION @ tmsv @ SUPERPOSITION.T
+        assert_allclose(np.diag(out), np.exp([2 * r, -2 * r, -2 * r, 2 * r]), rtol=1e-12)
+        assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-12
 
 
 def test_physicality_identity_and_tmsv():
-    assert check_physicality(np.eye(4)).ok
+    assert obeys_uncertainty(1.0, 1.0)
+    assert obeys_uncertainty(1.0 / 9.0, 9.0)
     for r in (0.3, 1.0, 2.0):
-        assert check_physicality(two_mode_squeezed_cov(r)).ok
+        assert obeys_uncertainty(np.exp(-2 * r), np.exp(2 * r))
 
 
 def test_physicality_below_vacuum_pair_fails():
-    report = check_physicality(np.diag([0.5, 0.5, 1.0, 1.0]))
-    assert not report.ok
-    assert "uncertainty" in report.detail
+    for s_sq, s_anti in ((0.5, 1.5), (0.5, 0.5), (-1.0, -1.0), (0.0, 5.0), (-0.5, 3.0)):
+        assert not obeys_uncertainty(s_sq, s_anti)
+        assert not physical_by_eigenvalues(s_sq, s_anti)
 
 
-def test_physicality_diagnostics_name_failed_check():
-    asym = np.eye(4)
-    asym[0, 1] = 1e-3
-    assert "symmetric" in check_physicality(asym).detail
-    neg = np.diag([-1.0, 1.0, 1.0, 1.0])
-    assert "positive semidefinite" in check_physicality(neg).detail
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1.0 - 1e-9),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.floats(min_value=1e3, max_value=1e9),
+    st.floats(min_value=0.0, max_value=1e12),
+)
+def test_physicality_agrees_with_symplectic_eigenvalue_oracle(sigma, eta, f_c, f):
+    p = OpoParams(pump_ratio=sigma, cavity_hwhm=f_c, escape_efficiency=eta)
+    s_sq, s_anti = squeezed_variance(p, f), antisqueezed_variance(p, f)
+    assert obeys_uncertainty(s_sq, s_anti) == physical_by_eigenvalues(s_sq, s_anti)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.floats(min_value=0.0, max_value=2.0))
-def test_physicality_agrees_with_symplectic_eigenvalue_oracle(r):
-    # symplectic eigenvalues are |eigvals(i Sigma V)|; physical iff all >= 1
-    cov = two_mode_squeezed_cov(r)
-    nus = np.abs(np.linalg.eigvals(1j * symplectic_form() @ cov))
-    assert np.all(nus >= 1.0 - 1e-9)
-    assert check_physicality(cov).ok
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.booleans(),
+)
+def test_closed_form_agrees_with_oracle_on_any_pair(log_sq, log_anti, negative):
+    # hand-built pairs, physical or not, away from the boundary S- S+ = 1
+    # where the oracle's rounding cannot resolve the sign
+    s_sq, s_anti = 10.0**log_sq, 10.0**log_anti
+    assume(abs(s_sq * s_anti - 1.0) > 1e-6)
+    if negative:
+        s_sq = -s_sq
+    assert obeys_uncertainty(s_sq, s_anti) == physical_by_eigenvalues(s_sq, s_anti)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_loss_preserves_physicality(r, eta):
+    # the loss map S -> eta S + 1 - eta, applied to a pure squeezed pair
+    s_sq = eta * np.exp(-2 * r) + (1.0 - eta)
+    s_anti = eta * np.exp(2 * r) + (1.0 - eta)
+    assert obeys_uncertainty(s_sq, s_anti)
+    assert physical_by_eigenvalues(s_sq, s_anti)
