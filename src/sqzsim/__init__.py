@@ -9,9 +9,7 @@ spectrum-analyzer measurement, plus the noise variance of finite-window
 from .classical_noise import ClassicalNoiseConfig, excess_noise, total_spectrum
 from .config import ConfigError, RunConfig, default_config, load_config
 from .detection import (
-    DarkCorrectionError,
     DetectionParams,
-    dark_correct,
     effective_efficiency,
     from_db,
     observe,

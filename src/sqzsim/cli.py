@@ -23,7 +23,7 @@ from .classical_noise import total_spectrum
 from .config import ConfigError, RunConfig, default_config, load_config
 from .detection import (
     effective_efficiency,
-    observe,
+    observe,  # not called here: perfbench's traced CLI run probes it by this name
     observe_corrected,
     observed_relative_to_shot,
 )
@@ -39,6 +39,7 @@ from .dsp import (
 from .fileio import (
     TimeSeriesFormatError,
     read_timeseries,
+    write_csv,
     write_timeseries,
     write_trace_csv,
     write_trace_json,
@@ -103,13 +104,6 @@ def _emit_trace(trace: Trace, out: Path, stem: str, fmt: str | None) -> list[Pat
     return paths
 
 
-def _write_csv(path: Path, header: str, columns) -> Path:
-    rows = np.column_stack(columns)
-    lines = [header] + [",".join(f"{v:.10g}" for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
 def _mode_spectra(cfg: RunConfig):
     """Source spectra of both modes and their dark-corrected detected views."""
     src = {m: total_spectrum(cfg.opo, cfg.noise, m) for m in ("plus", "minus")}
@@ -149,7 +143,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> None:
     src, det = _mode_spectra(cfg)
 
     written = [
-        _write_csv(
+        write_csv(
             out / "spectrum_analytic.csv",
             "freq_hz,s_plus,s_minus,s_plus_detected,s_minus_detected",
             (freqs, src["plus"](freqs), src["minus"](freqs),
@@ -158,8 +152,8 @@ def cmd_spectrum(cfg: RunConfig, args) -> None:
     ]
 
     written.append(
-        _write_csv(out / "inseparability.csv", "freq_hz,inseparability",
-                   (freqs, _inseparability(det, freqs)))
+        write_csv(out / "inseparability.csv", "freq_hz,inseparability",
+                  (freqs, _inseparability(det, freqs)))
     )
 
     # sub-seeds 0/1 drive the plain plus/minus traces and 2/3 the
@@ -267,11 +261,7 @@ def detected_record(
     """
     seed = cfg.require_seed()
     shaped_seed, dark_seed = _sub_seeds(seed, 2)
-    if mode == "shot":
-        base = Spectrum.flat(1.0)
-    else:
-        lossless_dark = dataclasses.replace(cfg.detection, dark_noise_db=-math.inf)
-        base = observe(total_spectrum(cfg.opo, cfg.noise, mode), lossless_dark)
+    base = Spectrum.flat(1.0) if mode == "shot" else _mode_spectra(cfg)[1][mode]
     samples = synthesize(base, sample_rate, n_samples, shaped_seed).samples
     dark = cfg.detection.dark_linear
     if dark > 0:

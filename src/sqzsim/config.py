@@ -65,13 +65,16 @@ def _strip_notes(doc):
 def _build_section(name: str, cls, payload) -> object:
     if not isinstance(payload, dict):
         raise ConfigError(f"key '{name}': expected an object of parameters")
-    known = set(cls.__dataclass_fields__)
+    fields = cls.__dataclass_fields__
     for key, value in payload.items():
-        if key not in known:
+        if key not in fields:
             raise ConfigError(f"key '{name}.{key}': unknown parameter")
-        # every parameter is a number; bool is an int subclass but not one
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key '{name}.{key}': expected a number, got {value!r}")
+        # every parameter is a number, and one declared int takes no float;
+        # bool is an int subclass but neither
+        integer = fields[key].type in (int, "int")
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            kind = "an integer" if integer else "a number"
+            raise ConfigError(f"key '{name}.{key}': expected {kind}, got {value!r}")
     try:
         return cls(**payload)
     except ValueError as exc:
@@ -88,7 +91,7 @@ def config_from_dict(doc: dict) -> RunConfig:
             kwargs[name] = _build_section(name, cls, doc.pop(name))
     if "seed" in doc:
         seed = doc.pop("seed")
-        if seed is not None and not isinstance(seed, int):
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise ConfigError(f"key 'seed': expected an integer, got {seed!r}")
         kwargs["seed"] = seed
     if "out_dir" in doc:

@@ -5,8 +5,10 @@ The detector maps a shot-normalized input spectrum S to
     S_obs(f) = eta_det S(f) + (1 - eta_det) + 10^(dark_db/10)
 
 with eta_det = quantum_efficiency * visibility^2 (mode overlap enters as a
-power fraction). The shot reference is measured with the source blocked, so
-it reads 1 + dark in the same units. Dark noise is modeled white; set
+power fraction). The detector response eta_det S + (1 - eta_det) is
+observe_corrected, the dark-corrected spectrum; observe adds the white
+electronic floor to it. The shot reference is measured with the source
+blocked, so it is observe of vacuum, 1 + dark in the same units. Set
 dark_noise_db = -inf for an ideal noiseless detector.
 """
 
@@ -21,19 +23,13 @@ from .spectra import Spectrum
 
 __all__ = [
     "DetectionParams",
-    "DarkCorrectionError",
     "effective_efficiency",
     "observe",
-    "dark_correct",
     "observe_corrected",
     "observed_relative_to_shot",
     "to_db",
     "from_db",
 ]
-
-
-class DarkCorrectionError(ValueError):
-    """Dark-noise subtraction would push the spectrum to or below zero."""
 
 
 @dataclass(frozen=True)
@@ -68,43 +64,16 @@ def effective_efficiency(d: DetectionParams) -> float:
     return d.quantum_efficiency * d.visibility**2
 
 
-def observe(spectrum, d: DetectionParams) -> Spectrum:
-    """Detection loss plus additive white electronic noise."""
-    eta = effective_efficiency(d)
-    dark = d.dark_linear
-    return Spectrum(
-        lambda f: eta * np.asarray(spectrum(f)) + (1.0 - eta) + dark,
-        "observed",
-    )
-
-
-def dark_correct(spectrum, dark_noise_db: float) -> Spectrum:
-    """Subtract the electronic noise floor in linear units.
-
-    The corrected spectrum raises DarkCorrectionError at evaluation time if
-    the observed value does not exceed the dark level, naming the first
-    offending frequency.
-    """
-    dark = 0.0 if math.isinf(dark_noise_db) else 10 ** (dark_noise_db / 10)
-
-    def corrected(f):
-        f = np.asarray(f, dtype=float)
-        s = np.asarray(spectrum(f))
-        bad = s <= dark
-        if np.any(bad):
-            f_bad = float(np.atleast_1d(f)[np.atleast_1d(bad)][0])
-            raise DarkCorrectionError(
-                f"observed spectrum ({float(np.atleast_1d(s)[np.atleast_1d(bad)][0]):.6g}) "
-                f"does not exceed the dark level ({dark:.6g}) at {f_bad:.6g} Hz"
-            )
-        return s - dark
-
-    return Spectrum(corrected, "dark corrected")
-
-
 def observe_corrected(spectrum, d: DetectionParams) -> Spectrum:
-    """Detected spectrum after dark-noise correction: eta S + (1 - eta)."""
-    return dark_correct(observe(spectrum, d), d.dark_noise_db)
+    """Detector response without the electronic floor: eta S + (1 - eta)."""
+    eta = effective_efficiency(d)
+    return Spectrum(lambda f: eta * np.asarray(spectrum(f)) + (1.0 - eta), "dark corrected")
+
+
+def observe(spectrum, d: DetectionParams) -> Spectrum:
+    """Detector response plus additive white electronic noise."""
+    detected, dark = observe_corrected(spectrum, d), d.dark_linear
+    return Spectrum(lambda f: detected(f) + dark, "observed")
 
 
 def observed_relative_to_shot(spectrum, d: DetectionParams) -> Spectrum:
@@ -113,13 +82,8 @@ def observed_relative_to_shot(spectrum, d: DetectionParams) -> Spectrum:
     This is what a normalized analyzer trace shows when neither the trace
     nor the blocked-source reference is dark-corrected.
     """
-    eta = effective_efficiency(d)
-    dark = d.dark_linear
-    shot = eta + (1.0 - eta) + dark
-    return Spectrum(
-        lambda f: (eta * np.asarray(spectrum(f)) + (1.0 - eta) + dark) / shot,
-        "observed relative to shot",
-    )
+    observed, shot = observe(spectrum, d), observe(Spectrum.flat(1.0), d)(0.0)
+    return Spectrum(lambda f: observed(f) / shot, "observed relative to shot")
 
 
 def to_db(v) -> float | np.ndarray:

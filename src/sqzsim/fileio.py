@@ -9,8 +9,9 @@ Time-series format (little-endian throughout):
     offset 24  u64    seed
     offset 32  f64[n_samples] samples
 
-Trace CSV starts with the header line ``freq_hz,value_db``; trace JSON
-carries the fields freqs, values_db, rbw, vbw.
+A CSV file is a header line, then comma-joined rows of .10g numbers; trace
+CSV's header is ``freq_hz,value_db``. Trace JSON carries the fields freqs,
+values_db, rbw, vbw.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "TimeSeriesFormatError",
     "write_timeseries",
     "read_timeseries",
+    "write_csv",
     "write_trace_csv",
     "write_trace_json",
     "read_trace_json",
@@ -81,12 +83,16 @@ def read_timeseries(path) -> TimeSeries:
     return TimeSeries(sample_rate=sample_rate, samples=samples, seed=seed)
 
 
-def write_trace_csv(path, trace: Trace) -> None:
-    lines = ["freq_hz,value_db"]
-    lines += [
-        f"{f:.10g},{v:.10g}" for f, v in zip(trace.freqs, trace.values_db)
-    ]
+def write_csv(path, header: str, columns) -> Path:
+    """One header line, then one row per index of the columns, each value
+    formatted .10g."""
+    lines = [header] + [",".join(f"{v:.10g}" for v in row) for row in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n")
+    return Path(path)
+
+
+def write_trace_csv(path, trace: Trace) -> Path:
+    return write_csv(path, "freq_hz,value_db", (trace.freqs, trace.values_db))
 
 
 def write_trace_json(path, trace: Trace) -> None:

@@ -448,6 +448,7 @@ def test_noise_values_out_of_domain_are_config_errors(tmp_path, capsys, field, v
     ("noise", "relax_center", "nan"),
     ("opo", "pump_ratio", "0.4"),
     ("analyzer", "n_points", "512"),
+    ("analyzer", "n_points", 64.0),
     ("detection", "visibility", None),
 ])
 def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, section, key,
@@ -455,7 +456,8 @@ def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, sec
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({section: {key: value}}))
     assert run("--config", path, "--out", tmp_path, "criteria") == 2
-    assert f"key '{section}.{key}': expected a number, got {value!r}" in capsys.readouterr().err
+    kind = "an integer" if key == "n_points" else "a number"
+    assert f"key '{section}.{key}': expected {kind}, got {value!r}" in capsys.readouterr().err
 
 
 def test_criteria_at_a_huge_frequency_warns_nothing(tmp_path, capsys):
@@ -477,6 +479,20 @@ def test_criteria_lossless_state_near_threshold_is_physical(tmp_path, capsys):
     doc = json.loads((tmp_path / "criteria_report.json").read_text())
     assert doc["physical"] is True
     assert doc["physicality_detail"] == "physical"
+
+
+def test_criteria_on_a_lossless_chain_at_threshold(tmp_path, capsys):
+    # no loss and no excess noise: the detected minus mode is 0 to rounding,
+    # and the inseparability with it
+    path = tmp_path / "lossless.json"
+    path.write_text(json.dumps({
+        "opo": {"pump_ratio": 0.999999999999, "cavity_hwhm": 1e300, "escape_efficiency": 1},
+        "noise": {"relax_amp_plus": 0, "relax_amp_minus": 0, "lf_amp": 0},
+        "detection": {"quantum_efficiency": 1, "visibility": 1},
+    }))
+    assert run("--config", path, "--out", tmp_path, "criteria") == 0
+    assert "inseparability (detected, dark-corrected) at 3.5e+06 Hz: 0.0000" in (
+        capsys.readouterr().out)
 
 
 def test_criteria_reports_a_violated_uncertainty_relation(tmp_path, capsys, monkeypatch):

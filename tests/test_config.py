@@ -44,8 +44,10 @@ def test_invalid_value_names_section():
 
 
 def test_bad_seed_type():
-    with pytest.raises(ConfigError, match="seed"):
-        config_from_dict({"seed": "abc"})
+    # bool is an int subclass, but True is no seed
+    for seed in ("abc", True):
+        with pytest.raises(ConfigError, match="key 'seed': expected an integer"):
+            config_from_dict({"seed": seed})
 
 
 def test_missing_seed_blocks_stochastic_commands():

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sqzsim import (
-    DarkCorrectionError,
     DetectionParams,
     Spectrum,
-    dark_correct,
     effective_efficiency,
     from_db,
     observe,
@@ -46,29 +44,16 @@ def test_dark_noise_adds_linearly():
     assert out(1e5) == pytest.approx(1.1, abs=1e-12)
 
 
-def test_observe_then_correct_round_trip():
+def test_observe_is_the_corrected_response_plus_dark():
     d = DetectionParams(0.95, 0.97, -6.0)
-    s_in = Spectrum.flat(0.3)
-    corrected = dark_correct(observe(s_in, d), d.dark_noise_db)
-    eta = effective_efficiency(d)
+    s_in = Spectrum(lambda f: 0.3 + f / 1e8)
     f = np.logspace(3, 7, 101)
-    assert_allclose(corrected(f), eta * 0.3 + (1 - eta), rtol=1e-14)
-    assert_allclose(observe_corrected(s_in, d)(f), corrected(f), rtol=0, atol=0)
-
-
-def test_dark_correct_arithmetic():
-    out = dark_correct(Spectrum.flat(1.1), -10.0)
-    assert out(1e4) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_dark_correct_underflow_names_frequency():
-    below = dark_correct(Spectrum.flat(0.05), -10.0)
-    with pytest.raises(DarkCorrectionError, match="1e\\+06|1000000"):
-        below(1e6)
-    # array evaluation names the first offending frequency
-    ramp = dark_correct(Spectrum(lambda f: f / 1e6), -10.0)
-    with pytest.raises(DarkCorrectionError, match="5000"):
-        ramp(np.array([2e5, 5e3, 7e5]))
+    eta = effective_efficiency(d)
+    assert_allclose(observe_corrected(s_in, d)(f), eta * s_in(f) + (1 - eta), rtol=1e-15)
+    # bit for bit, on arrays and on scalars
+    assert np.array_equal(observe(s_in, d)(f), observe_corrected(s_in, d)(f) + d.dark_linear)
+    for x in f[::10]:
+        assert observe(s_in, d)(x) == observe_corrected(s_in, d)(x) + d.dark_linear
 
 
 def test_observe_composes_with_escape_loss():
@@ -80,10 +65,17 @@ def test_observe_composes_with_escape_loss():
     assert detected(1e5) == pytest.approx(eta_tot * s0 + (1 - eta_tot), abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [DetectionParams(0.95, 0.97, -6.0), NO_DARK,
+                               DetectionParams(0.3, 0.5, -0.01)])
+def test_observed_relative_to_shot_of_vacuum_is_exactly_one(d):
+    # the shot reference is observed vacuum, so vacuum over it is 1
+    rel = observed_relative_to_shot(Spectrum.flat(1.0), d)
+    assert rel(1e6) == 1.0
+    assert np.all(rel(np.logspace(0, 9, 64)) == 1.0)
+
+
 def test_observed_relative_to_shot():
     d = DetectionParams(0.95, 0.97, -6.0)
-    rel = observed_relative_to_shot(Spectrum.flat(1.0), d)
-    assert rel(1e6) == pytest.approx(1.0, abs=1e-14)
     eta, dark = effective_efficiency(d), d.dark_linear
     rel2 = observed_relative_to_shot(Spectrum.flat(0.25), d)
     assert rel2(1e6) == pytest.approx((eta * 0.25 + 1 - eta + dark) / (1 + dark))

@@ -1,6 +1,4 @@
-import dataclasses
 import hashlib
-import math
 import sys
 import threading
 import tracemalloc
@@ -18,7 +16,7 @@ from sqzsim import (
     default_config,
     emulate_sweep,
     normalize_to_shot,
-    observe,
+    observe_corrected,
     rbw_convolve,
     synthesize,
     total_spectrum,
@@ -64,8 +62,7 @@ def synth_spectrum(name):
     if name == "flat":
         return Spectrum.flat(1.0)
     cfg = default_config()
-    lossless_dark = dataclasses.replace(cfg.detection, dark_noise_db=-math.inf)
-    return observe(total_spectrum(cfg.opo, cfg.noise, "minus"), lossless_dark)
+    return observe_corrected(total_spectrum(cfg.opo, cfg.noise, "minus"), cfg.detection)
 
 
 # sha256 of synthesize(spectrum, 25 MHz, 2^16, seed).samples, frozen from a
@@ -321,6 +318,14 @@ def test_narrow_feature_broadens_to_rbw():
     above = freqs[excess >= half]
     fwhm = above[-1] - above[0]
     assert fwhm == pytest.approx(100e3, rel=0.15)
+
+
+def test_sweep_of_a_negative_spectrum_names_the_first_frequency():
+    # a chain map may hand on a spectrum below zero; the sweep refuses it
+    spec = Spectrum(lambda f: np.where(f < 1.55e5, 1.0, -1.0))
+    cfg = SweepConfig(start=1e5, stop=2e5, n_points=11, rbw=1e3, vbw=100.0)
+    with pytest.raises(ValueError, match="convolved spectrum is not positive at 160000 Hz"):
+        emulate_sweep(spec, cfg, seed=3)
 
 
 def test_sweep_determinism_and_validation():
