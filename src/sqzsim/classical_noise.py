@@ -15,6 +15,8 @@ measured values.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,15 @@ class ClassicalNoiseConfig:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if not -np.inf < self.lf_exponent < np.inf:
             raise ValueError(f"lf_exponent must be finite, got {self.lf_exponent}")
+        # excess_noise forms amp * hw^2 in Python floats: hw^2 raises
+        # OverflowError from hw ~ 1.34e154, and amp * hw^2 turns inf
+        amp = max(1.0, self.relax_amp_plus, self.relax_amp_minus)
+        widest = 2 * math.sqrt(sys.float_info.max / amp)
+        if not (self.relax_fwhm < widest and amp * (0.5 * self.relax_fwhm) ** 2 < np.inf):
+            raise ValueError(
+                f"relax_fwhm must be finite and below {widest:.3g}, where relax_amp "
+                f"(relax_fwhm/2)^2 overflows, got {self.relax_fwhm}"
+            )
 
     @classmethod
     def zero(cls) -> "ClassicalNoiseConfig":

@@ -95,7 +95,10 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError(f"key 'seed': expected an integer, got {seed!r}")
         kwargs["seed"] = seed
     if "out_dir" in doc:
-        kwargs["out_dir"] = str(doc.pop("out_dir"))
+        out_dir = doc.pop("out_dir")
+        if not isinstance(out_dir, str):
+            raise ConfigError(f"key 'out_dir': expected a string, got {out_dir!r}")
+        kwargs["out_dir"] = out_dir
     if doc:
         raise ConfigError(f"key '{sorted(doc)[0]}': unknown section")
     return RunConfig(**kwargs)

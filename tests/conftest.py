@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # 50/50 quadrature map from (x1, p1, x2, p2) to (x+, p+, x-, p-)
 SUPERPOSITION = np.array(
@@ -16,3 +23,13 @@ def physical_by_eigenvalues(s_squeezed: float, s_antisqueezed: float) -> bool:
     min_eig = np.linalg.eigvalsh(cov + 1j * OMEGA).min()
     scale = max(abs(s_squeezed), abs(s_antisqueezed), 1.0)
     return bool(min_eig >= -16 * np.finfo(float).eps * scale)
+
+
+def fresh_python(script, *argv):
+    """Run script in a new interpreter that imports this checkout's sqzsim;
+    return its stdout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

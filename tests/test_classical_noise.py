@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -58,6 +62,15 @@ def test_config_validation():
         ClassicalNoiseConfig(relax_fwhm=0.0)
     with pytest.raises(ValueError):
         ClassicalNoiseConfig(lf_knee=-1.0)
+    # relax_amp (relax_fwhm/2)^2 must not overflow; just below the bound it is finite
+    for config in (DEFAULTS, ClassicalNoiseConfig.zero()):
+        widest = 2 * math.sqrt(sys.float_info.max / max(1.0, config.relax_amp("minus")))
+        for fwhm in (widest, 1e200, 10**400):
+            with pytest.raises(ValueError, match="relax_fwhm must be finite and below"):
+                dataclasses.replace(config, relax_fwhm=fwhm)
+        config = dataclasses.replace(config, relax_fwhm=math.nextafter(widest, 0))
+        for mode in ("plus", "minus"):
+            assert np.isfinite(excess_noise(config, [1e3, 1e6, 1e300], mode)).all()
 
 
 def test_total_is_additive():

@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -15,6 +12,8 @@ from sqzsim import cli
 from sqzsim.cli import main
 from sqzsim.config import default_config, load_config
 
+from conftest import fresh_python
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -24,16 +23,6 @@ def schema(name):
 
 def run(*argv):
     return main([str(a) for a in argv])
-
-
-def fresh_python(script, *argv):
-    """Run script in a new interpreter that imports this checkout's sqzsim;
-    return its stdout."""
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 @pytest.fixture
@@ -435,6 +424,8 @@ def test_float_options_that_are_not_finite_are_config_errors(tmp_path, capsys, m
     ) for value in (math.nan, math.inf)),
     ("relax_center", 0.0),
     ("relax_center", -1e6),
+    # relax_amp_minus (relax_fwhm/2)^2 overflows from 2.45e154
+    ("relax_fwhm", 1e200),
 ])
 def test_noise_values_out_of_domain_are_config_errors(tmp_path, capsys, field, value):
     path = tmp_path / "bad.json"
@@ -458,6 +449,16 @@ def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, sec
     assert run("--config", path, "--out", tmp_path, "criteria") == 2
     kind = "an integer" if key == "n_points" else "a number"
     assert f"key '{section}.{key}': expected {kind}, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [None, 5, ["a"]])
+def test_out_dir_of_the_wrong_type_is_a_config_error(tmp_path, capsys, monkeypatch, value):
+    # str() would turn null into the directory ./None
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text(json.dumps({"out_dir": value}))
+    assert run("--config", "bad.json", "criteria") == 2
+    assert f"key 'out_dir': expected a string, got {value!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 def test_criteria_at_a_huge_frequency_warns_nothing(tmp_path, capsys):
