@@ -74,15 +74,26 @@ def excess_noise(config: ClassicalNoiseConfig, f, mode: str) -> float | np.ndarr
     """Additive excess variance at sideband f > 0 for one superposition mode."""
     amp = config.relax_amp(mode)
     f = np.asarray(f, dtype=float)
-    if np.any(f <= 0):
+    # one pass accepts the usual input; NaN, -0.0 and empty input fall
+    # through to the exact test
+    if not (f.size and f.min() > 0) and np.any(f <= 0):
         raise ValueError("excess noise is defined for f > 0 only")
     hw = 0.5 * config.relax_fwhm
-    # far from the centre the square overflows to inf, and amp hw^2 / inf = 0
-    # is the right value, so that overflow is not worth a warning
+    # each term is one fresh array updated in place (for 0-d f a numpy
+    # scalar, which the augmented assignments rebind, keeping the scalar
+    # power, as in opo). Far from the centre the square overflows to inf, and
+    # amp hw^2 / inf = 0 is the right value, so that overflow is not worth a
+    # warning
     with np.errstate(over="ignore"):
-        lorentz = amp * hw**2 / ((f - config.relax_center) ** 2 + hw**2)
-    lowfreq = config.lf_amp * (config.lf_knee / f) ** config.lf_exponent
-    out = lorentz + lowfreq
+        lorentz = f - config.relax_center
+        lorentz **= 2
+        lorentz += hw**2
+        num = amp * hw**2
+        lorentz = np.divide(num, lorentz, out=lorentz) if f.ndim else num / lorentz
+    out = config.lf_knee / f
+    out **= config.lf_exponent
+    out *= config.lf_amp
+    out += lorentz
     return float(out) if out.ndim == 0 else out
 
 
@@ -91,7 +102,10 @@ def total_spectrum(
 ) -> Spectrum:
     """Squeezed quantum spectrum plus classical excess for one mode."""
     config.relax_amp(mode)  # validate mode eagerly
-    return Spectrum(
-        lambda f: squeezed_variance(params, f) + excess_noise(config, f, mode),
-        f"total spectrum ({mode} mode)",
-    )
+
+    def total(f):
+        out = squeezed_variance(params, f)
+        out += excess_noise(config, f, mode)
+        return out
+
+    return Spectrum(total, f"total spectrum ({mode} mode)")

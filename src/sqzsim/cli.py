@@ -472,6 +472,11 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # numpy's names the size it could not allocate; Python's own is empty
+        detail = str(exc) or "an allocation failed"
+        print(f"numerical error: out of memory in {args.command}: {detail}", file=sys.stderr)
+        return 3
     return 0
 
 

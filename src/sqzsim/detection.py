@@ -67,13 +67,26 @@ def effective_efficiency(d: DetectionParams) -> float:
 def observe_corrected(spectrum, d: DetectionParams) -> Spectrum:
     """Detector response without the electronic floor: eta S + (1 - eta)."""
     eta = effective_efficiency(d)
-    return Spectrum(lambda f: eta * np.asarray(spectrum(f)) + (1.0 - eta), "dark corrected")
+
+    def corrected(f):
+        # one fresh array, updated in place; the input's result is not written
+        out = np.multiply(eta, spectrum(f))
+        out += 1.0 - eta
+        return out
+
+    return Spectrum(corrected, "dark corrected")
 
 
 def observe(spectrum, d: DetectionParams) -> Spectrum:
     """Detector response plus additive white electronic noise."""
     detected, dark = observe_corrected(spectrum, d), d.dark_linear
-    return Spectrum(lambda f: detected(f) + dark, "observed")
+
+    def observed(f):
+        out = detected(f)  # fresh, so it can take the floor in place
+        out += dark
+        return out
+
+    return Spectrum(observed, "observed")
 
 
 def observed_relative_to_shot(spectrum, d: DetectionParams) -> Spectrum:

@@ -65,7 +65,9 @@ _X_MAX = 1e150
 
 def _check_freq(f):
     f = np.asarray(f, dtype=float)
-    if np.any(f < 0):
+    # one pass accepts the usual input; NaN and empty input fall through to
+    # the exact test
+    if not (f.size and f.min() >= 0) and np.any(f < 0):
         raise ValueError("sideband frequency must be >= 0")
     return f
 
@@ -77,27 +79,39 @@ def _lorentzian_terms(params: OpoParams, f):
     # to rounding even as sig -> 1. Beyond _X_MAX half-widths (1 +- sig)^2 is
     # far below half an ulp of x^2, so A = B = x^2 and A/B = 1 exactly;
     # clamping f there changes no finite value and keeps x^2 from
-    # overflowing to inf/inf = NaN
+    # overflowing to inf/inf = NaN.
+    # x^2 is one fresh array, updated in place into B; A is a second one. A
+    # 0-d f gives numpy scalars, which the augmented assignments rebind, so
+    # a scalar keeps the scalar power, which does not always round x^2 as
+    # the array loop's x*x does
     f_c = params.cavity_hwhm
-    x2 = (np.minimum(f, _X_MAX * f_c) / f_c) ** 2
+    x2 = np.minimum(f, _X_MAX * f_c)
+    x2 /= f_c
+    x2 **= 2
     sig = params.pump_ratio
-    return (1.0 - sig) ** 2 + x2, (1.0 + sig) ** 2 + x2
+    a = (1.0 - sig) ** 2 + x2
+    x2 += (1.0 + sig) ** 2
+    return a, x2
+
+
+def _variance(params: OpoParams, ratio):
+    """eta ratio + (1 - eta) in place; a float for scalar input."""
+    eta = params.escape_efficiency
+    ratio *= eta
+    ratio += 1.0 - eta
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 def squeezed_variance(params: OpoParams, f) -> float | np.ndarray:
     """Variance of the squeezed quadratures (x-, p+) at sideband f in Hz."""
-    f = _check_freq(f)
-    a, b = _lorentzian_terms(params, f)
-    eta = params.escape_efficiency
-    out = eta * (a / b) + (1.0 - eta)
-    return float(out) if out.ndim == 0 else out
+    a, b = _lorentzian_terms(params, _check_freq(f))
+    a /= b
+    return _variance(params, a)
 
 
 def antisqueezed_variance(params: OpoParams, f) -> float | np.ndarray:
     """Variance of the anti-squeezed quadratures (x+, p-) at sideband f in Hz."""
-    f = _check_freq(f)
-    a, b = _lorentzian_terms(params, f)
-    eta = params.escape_efficiency
-    out = eta * (b / a) + (1.0 - eta)
-    return float(out) if out.ndim == 0 else out
+    a, b = _lorentzian_terms(params, _check_freq(f))
+    b /= a
+    return _variance(params, b)
 

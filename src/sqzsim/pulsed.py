@@ -105,11 +105,16 @@ class PiecewiseSpectrum:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "tail_value", tail)
+        # lookup tables for __call__, built once; not fields, so equality,
+        # hash and repr see only the three above
+        edges, table = np.array(bp), np.array(vals + (tail,))
+        edges.flags.writeable = table.flags.writeable = False
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_table", table)
 
     def __call__(self, f):
         f = np.asarray(f, dtype=float)
-        table = np.asarray(self.values + (self.tail_value,))
-        out = table[np.searchsorted(self.breakpoints, f, side="right")]
+        out = self._table[np.searchsorted(self._edges, f, side="right")]
         return float(out) if out.ndim == 0 else out
 
 
@@ -122,6 +127,10 @@ def _checked(spectrum):
     def s(nu):
         with np.errstate(over="ignore"):
             out = np.asarray(spectrum(nu), dtype=float)
+        # one pass each for min and max accepts the usual result; NaN, inf,
+        # negatives and empty results take the exact tests, in their order
+        if out.size and out.min() >= 0 and out.max() < np.inf:
+            return out
         if not np.isfinite(out).all():
             raise ValueError(
                 "spectrum is unbounded on the integration range; if it diverges "
@@ -168,18 +177,19 @@ def _lobe_table():
 
 def _lobe_panels(s, t):
     """GL16 value and |GL16 - GL8| of the near-field integrand on each whole
-    lobe, from the table; the spectrum is called on at most _CHUNK_NODES
-    nodes at a time, which keeps the temporaries below the size whose free
-    trims the heap."""
+    lobe, from the table. The spectrum is called on at most _CHUNK_NODES
+    nodes at a time, which keeps its temporaries below the size whose free
+    trims the heap; each chunk's values times the weights go into one
+    product array, whose GL16 and GL8 row sums are then taken once."""
     nodes, weights = _lobe_table()
-    fine, coarse = np.empty(_N_LOBES), np.empty(_N_LOBES)
+    product = np.empty(nodes.shape)
     step = _CHUNK_NODES // nodes.shape[1]
     for c in range(0, _N_LOBES, step):
         rows = slice(c, c + step)
-        vals = s((nodes[rows] / t).ravel()).reshape(-1, nodes.shape[1]) * weights[rows]
-        fine[rows] = vals[:, :_N_FINE].sum(axis=1)
-        coarse[rows] = vals[:, _N_FINE:].sum(axis=1)
-    return fine, np.abs(fine - coarse)
+        vals = s((nodes[rows] / t).ravel()).reshape(-1, nodes.shape[1])
+        np.multiply(vals, weights[rows], out=product[rows])
+    fine = product[:, :_N_FINE].sum(axis=1)
+    return fine, np.abs(fine - product[:, _N_FINE:].sum(axis=1))
 
 
 def _gl_nodes(a, b):

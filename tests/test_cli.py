@@ -236,6 +236,16 @@ def test_synth_record_larger_than_memory_is_config_error(tmp_path, capsys, monke
     assert str(8 * 2**40) in err and "physical memory" in err
 
 
+def test_running_out_of_memory_is_a_numerical_error(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 19.1 GiB")
+
+    monkeypatch.setattr(cli, "write_csv", out_of_memory)
+    assert run("--out", tmp_path, "spectrum", "--points", 64) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical error: out of memory in spectrum: Unable to allocate 19.1 GiB\n"
+
+
 def test_synth_peak_larger_than_memory_is_config_error(tmp_path, capsys, monkeypatch):
     # 16 MiB of physical memory holds the 8 MiB record of 2^20 samples, but
     # not the several records' worth that synthesis peaks at

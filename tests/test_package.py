@@ -1,5 +1,7 @@
+import ast
 import importlib
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +94,25 @@ assert callable(sqzsim.__main__.main)
 print("imported")
 """
     assert fresh_python(script).split() == ["imported"]
+
+
+# names through which numpy reaches BLAS or LAPACK
+BLAS_NAMES = {"dot", "matmul", "einsum", "tensordot", "inner", "linalg"}
+
+
+def test_the_package_calls_no_blas():
+    # `python -m sqzsim` starts OpenBLAS with one thread, which costs nothing
+    # only while no command calls BLAS; and the pulsed engine's row sums keep
+    # their bits only as numpy reductions, not as BLAS products
+    found = []
+    for path in sorted((Path(sqzsim.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            op = getattr(node, "op", None)
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names.update(node.module.split("."))
+            if isinstance(op, ast.MatMult) or names & BLAS_NAMES:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
