@@ -74,22 +74,21 @@ def excess_noise(config: ClassicalNoiseConfig, f, mode: str) -> float | np.ndarr
     """Additive excess variance at sideband f > 0 for one superposition mode."""
     amp = config.relax_amp(mode)
     f = np.asarray(f, dtype=float)
-    # one pass accepts the usual input; NaN, -0.0 and empty input fall
-    # through to the exact test
-    if not (f.size and f.min() > 0) and np.any(f <= 0):
+    # one pass, as in opo._check_freq
+    if np.fmin.reduce(f, axis=None, initial=np.inf) <= 0:
         raise ValueError("excess noise is defined for f > 0 only")
     hw = 0.5 * config.relax_fwhm
-    # each term is one fresh array updated in place (for 0-d f a numpy
-    # scalar, which the augmented assignments rebind, keeping the scalar
-    # power, as in opo). Far from the centre the square overflows to inf, and
-    # amp hw^2 / inf = 0 is the right value, so that overflow is not worth a
-    # warning
+    # the Lorentzian's denominator and the low-frequency term are each one
+    # fresh array updated in place (for 0-d f a numpy scalar, which the
+    # augmented assignments rebind, keeping the scalar power, as in opo). Far
+    # from the centre the square overflows to inf, and amp hw^2 / inf = 0 is
+    # the right value, so that overflow is not worth a warning
     with np.errstate(over="ignore"):
         lorentz = f - config.relax_center
         lorentz **= 2
         lorentz += hw**2
         num = amp * hw**2
-        lorentz = np.divide(num, lorentz, out=lorentz) if f.ndim else num / lorentz
+        lorentz = num / lorentz
     out = config.lf_knee / f
     out **= config.lf_exponent
     out *= config.lf_amp

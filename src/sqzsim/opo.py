@@ -65,9 +65,9 @@ _X_MAX = 1e150
 
 def _check_freq(f):
     f = np.asarray(f, dtype=float)
-    # one pass accepts the usual input; NaN and empty input fall through to
-    # the exact test
-    if not (f.size and f.min() >= 0) and np.any(f < 0):
+    # one pass, with no boolean temporary: fmin skips NaN as f < 0 does, and
+    # the initial inf lets empty input pass
+    if np.fmin.reduce(f, axis=None, initial=np.inf) < 0:
         raise ValueError("sideband frequency must be >= 0")
     return f
 

@@ -105,16 +105,11 @@ class PiecewiseSpectrum:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "tail_value", tail)
-        # lookup tables for __call__, built once; not fields, so equality,
-        # hash and repr see only the three above
-        edges, table = np.array(bp), np.array(vals + (tail,))
-        edges.flags.writeable = table.flags.writeable = False
-        object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_table", table)
 
     def __call__(self, f):
         f = np.asarray(f, dtype=float)
-        out = self._table[np.searchsorted(self._edges, f, side="right")]
+        table = np.asarray(self.values + (self.tail_value,))
+        out = table[np.searchsorted(self.breakpoints, f, side="right")]
         return float(out) if out.ndim == 0 else out
 
 
@@ -127,18 +122,18 @@ def _checked(spectrum):
     def s(nu):
         with np.errstate(over="ignore"):
             out = np.asarray(spectrum(nu), dtype=float)
-        # one pass each for min and max accepts the usual result; NaN, inf,
-        # negatives and empty results take the exact tests, in their order
-        if out.size and out.min() >= 0 and out.max() < np.inf:
-            return out
-        if not np.isfinite(out).all():
-            raise ValueError(
-                "spectrum is unbounded on the integration range; if it diverges "
-                "at low frequency, clamp it (e.g. clamp_to_shot_below) to model "
-                "a feedback-stabilized source"
-            )
-        if (out < 0).any():
-            raise ValueError("spectrum is negative on the integration range")
+        if out.size:
+            # NaN propagates through min, and +-inf shows in min or max, so
+            # one pass each tests finiteness first and the sign second
+            lo, hi = out.min(), out.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError(
+                    "spectrum is unbounded on the integration range; if it diverges "
+                    "at low frequency, clamp it (e.g. clamp_to_shot_below) to model "
+                    "a feedback-stabilized source"
+                )
+            if lo < 0:
+                raise ValueError("spectrum is negative on the integration range")
         return out
 
     return s

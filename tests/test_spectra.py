@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -40,25 +38,6 @@ def test_piecewise_segments():
     assert p(1e6) == 2.0
     assert_allclose(p(np.array([1.0, 60e3, 2e6])), [1.0, 0.5, 2.0])
     assert type(p(1e3)) is float and type(p(np.array(1e6))) is float
-
-
-def test_piecewise_lookup_tables_are_derived_and_read_only():
-    p = PiecewiseSpectrum(breakpoints=(50e3, 1e6), values=(1.0, 0.5), tail_value=2.0)
-    twin = PiecewiseSpectrum(breakpoints=[50e3, 1e6], values=[1, 0.5], tail_value=2)
-    # equality, hash and repr see the three fields only (an array field
-    # would make == raise)
-    assert [f.name for f in dataclasses.fields(p)] == ["breakpoints", "values", "tail_value"]
-    assert p == twin and hash(p) == hash(twin)
-    assert repr(p) == ("PiecewiseSpectrum(breakpoints=(50000.0, 1000000.0), "
-                       "values=(1.0, 0.5), tail_value=2.0)")
-    for table in (p._edges, p._table):
-        assert not table.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            table[0] = 3.0
-    # replace builds the tables of the new breakpoints and values
-    moved = dataclasses.replace(p, breakpoints=(1e5, 2e6), tail_value=0.25)
-    assert_allclose(moved(np.array([60e3, 1e6, 3e6])), [1.0, 0.5, 0.25])
-    assert_allclose(p(np.array([60e3, 1e6, 3e6])), [0.5, 2.0, 2.0])
 
 
 def test_piecewise_validation():
