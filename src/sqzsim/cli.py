@@ -63,6 +63,14 @@ from .spectra import Spectrum
 # before it, and irfft adds about three more, its output and its scratch.
 SYNTH_PEAK_PER_RECORD = 6
 
+# peak memory of `spectrum` in bytes per grid point, above the import
+# baseline: eight float64 rows of the 257-point RBW kernel, as rbw_convolve
+# holds several n_points x 257 arrays at once. Measured with numpy 2.4 on
+# Linux x86-64: 12.7 kB (about six rows) per point from 8,000 to 32,000
+# points (110 MB and 415 MB peaks), 13.7 kB per point at 8,000, where the
+# fixed overhead weighs more, plus a margin.
+SPECTRUM_PEAK_PER_POINT = 8 * 257 * 8
+
 # the electronic noise of a detected record is drawn this many samples at a
 # time, so it needs no record-sized temporary
 _DARK_BLOCK_SAMPLES = 1 << 16
@@ -80,6 +88,17 @@ def _finite_positive(flag: str, value: float, what: str) -> float:
     if not 0 < value < math.inf:
         raise ConfigError(f"key '{flag}': {what} must be finite and positive, got {value}")
     return value
+
+
+def _require_memory(key: str, what: str, need: int) -> None:
+    """A ConfigError naming the key if what needs more than the physical
+    memory at peak, raised before anything of that size is allocated."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(
+            f"key '{key}': {what} needs about {need} bytes at peak, more than "
+            f"the {have} bytes of physical memory"
+        )
 
 
 def _sub_seeds(seed: int, n: int) -> list[int]:
@@ -136,6 +155,9 @@ def _sweep_config(cfg: RunConfig, args) -> SweepConfig:
 
 def cmd_spectrum(cfg: RunConfig, args) -> None:
     sweep = _sweep_config(cfg, args)
+    _require_memory("--points" if args.points is not None else "analyzer.n_points",
+                    f"a grid of {sweep.n_points} points",
+                    SPECTRUM_PEAK_PER_POINT * sweep.n_points)
     out = _out_dir(cfg)
     modes = ("plus", "minus") if args.mode == "both" else (args.mode,)
     freqs = sweep.freqs
@@ -286,13 +308,8 @@ def cmd_synth(cfg: RunConfig, args) -> None:
         )
     _finite_positive("--sample-rate", args.sample_rate, "sample rate")
     record = 8 * n
-    need = SYNTH_PEAK_PER_RECORD * record
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ConfigError(
-            f"key '--n-samples': a record of {n} samples ({record} bytes) needs "
-            f"about {need} bytes at peak, more than the {have} bytes of physical memory"
-        )
+    _require_memory("--n-samples", f"a record of {n} samples ({record} bytes)",
+                    SYNTH_PEAK_PER_RECORD * record)
     ts = detected_record(cfg, args.mode, args.sample_rate, n)
     out = _out_dir(cfg)
     path = out / f"timeseries_{args.mode}.sqts"

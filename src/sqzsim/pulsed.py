@@ -25,14 +25,18 @@ evaluated in chunks of at most 4096 nodes, then one spectrum call covers
 everything else: x, the breakpoints beyond it and the nodes of the other
 panels. Panels of both fields (16 nodes, checked against 8) share one table,
 in which the worst panel is bisected until the summed estimate meets the
-relative tolerance. The returned error adds what the lobe average drops:
-S(x) T / (4 pi^4 N^3) for the smooth far field and |dS| / (4 pi^3 T b^2)
-per jump dS at a b > x.
+relative tolerance: the panel with the largest error, a tie going to the
+lowest start, then end, value and side. Its row takes the left half in
+place, the right half is appended as a new row, and the running sums change
+by the halves' difference. The returned error adds what the lobe average
+drops: S(x) T / (4 pi^4 N^3) for the smooth far field and
+|dS| / (4 pi^3 T b^2) per jump dS at a b > x.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +130,7 @@ def _checked(spectrum):
             # NaN propagates through min, and +-inf shows in min or max, so
             # one pass each tests finiteness first and the sign second
             lo, hi = out.min(), out.max()
-            if not (np.isfinite(lo) and np.isfinite(hi)):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(
                     "spectrum is unbounded on the integration range; if it diverges "
                     "at low frequency, clamp it (e.g. clamp_to_shot_below) to model "
@@ -148,14 +152,16 @@ def _sinc2(u):
 
 @functools.cache
 def _gl_rule():
-    """The GL16 nodes then the GL8 nodes on [-1, 1], and their weights: one
-    spectrum call serves both rules. Built on first use, so that importing
-    the package does not import numpy.polynomial."""
+    """The GL16 nodes then the GL8 nodes on [-1, 1], shifted by +1 onto
+    [0, 2], and their weights: one spectrum call serves both rules. Built on
+    first use, so that importing the package does not import
+    numpy.polynomial."""
     from numpy.polynomial.legendre import leggauss
 
     nodes, weights = np.hstack((leggauss(_N_FINE), leggauss(8)))
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    shifted = nodes + 1.0
+    shifted.flags.writeable = weights.flags.writeable = False
+    return shifted, weights
 
 
 @functools.cache
@@ -163,8 +169,8 @@ def _lobe_table():
     """Nodes u = k + (g + 1)/2 of every whole near-field lobe [k, k + 1],
     GL16 then GL8, and their weights: half the GL weight times sinc^2(u).
     Built on first use, so importing the package does not pay for it."""
-    gl_nodes, gl_weights = _gl_rule()
-    nodes = np.arange(_N_LOBES)[:, None] + 0.5 * (gl_nodes + 1.0)
+    shifted, gl_weights = _gl_rule()
+    nodes = np.arange(_N_LOBES)[:, None] + 0.5 * shifted
     weights = 0.5 * gl_weights * _sinc2(nodes)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
@@ -191,7 +197,7 @@ def _gl_nodes(a, b):
     """Half-widths of the panels [a, b] and their GL16 then GL8 nodes, panel
     by panel in one flat array."""
     half = 0.5 * (b - a)
-    return half, (a[:, None] + half[:, None] * (_gl_rule()[0] + 1.0)).ravel()
+    return half, (a[:, None] + half[:, None] * _gl_rule()[0]).ravel()
 
 
 def _gl_sums(half, vals):
@@ -282,21 +288,19 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     side = np.empty(cap, dtype=np.int8)
     start, end, value, error = (np.empty(cap) for _ in range(4))
 
-    def store(i, k, a, b, fine, err):
-        sl = slice(i, i + fine.size)
-        side[sl], start[sl], end[sl], value[sl], error[sl] = k, a, b, fine, err
-
     # running sums, started from the per-set sums, drive the convergence
     # test; the reproducible ordered sum happens at the end
     value_sum = err_sum = 0.0
     n = 0
     for k, a, b, fine, err in initial:
-        store(n, k, a, b, fine, err)
+        sl = slice(n, n + fine.size)
+        side[sl], start[sl], end[sl], value[sl], error[sl] = k, a, b, fine, err
         n += fine.size
         value_sum += float(np.sum(fine))
         err_sum += float(np.sum(err))
     err_sum += averaging_err
 
+    shifted, gl_weights = _gl_rule()
     while err_sum > _REL_TOL * abs(value_sum) and abs(value_sum) != 0.0:
         if n == cap:
             near = float(np.sum(error[:n][side[:n] == 0]))
@@ -313,19 +317,30 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
                 "if the spectrum diverges at low frequency, clamp it (e.g. with "
                 "clamp_to_shot_below) to model a feedback-stabilized source"
             )
-        # the worst panel: largest error, ties to the lowest start
-        tied = np.flatnonzero(error[:n] == error[:n].max())
-        if tied.size > 1:
-            tied = tied[np.lexsort((side[tied], value[tied], end[tied], start[tied]))]
-        w = tied[0]
-        a, b, k = start[w], end[w], side[w]
-        edges = np.array([a, 0.5 * (a + b), b])
-        half, z = _gl_nodes(edges[:2], edges[1:])
-        fine, err = _gl_sums(half, integrand[k](z, s(freq[k](z))))
-        value_sum += float(np.sum(fine)) - value[w]
-        err_sum += float(np.sum(err)) - error[w]
-        store(w, k, a, edges[1], fine[:1], err[:1])
-        store(n, k, edges[1], b, fine[1:], err[1:])
+        # the worst panel: the largest error; a tie, which is rare, goes to
+        # the lowest start, then end, value and side
+        live = error[:n]
+        w = int(live.argmax())
+        if np.count_nonzero(live == live[w]) > 1:
+            tied = np.flatnonzero(live == live[w])
+            w = int(tied[np.lexsort((side[tied], value[tied], end[tied], start[tied]))[0]])
+        # bisect it, in Python floats: the halves [a, mid] and [mid, b], their
+        # 48 nodes in one spectrum call, and their GL16 and GL8 sums from one
+        # product
+        a, b, k = start.item(w), end.item(w), side.item(w)
+        mid = 0.5 * (a + b)
+        half_a, half_b = 0.5 * (mid - a), 0.5 * (b - mid)
+        z = np.concatenate((a + half_a * shifted, mid + half_b * shifted))
+        product = integrand[k](z, s(freq[k](z))).reshape(2, -1) * gl_weights
+        fine_a, fine_b = product[:, :_N_FINE].sum(axis=1).tolist()
+        coarse_a, coarse_b = product[:, _N_FINE:].sum(axis=1).tolist()
+        fine_a, fine_b = half_a * fine_a, half_b * fine_b
+        err_a, err_b = abs(fine_a - half_a * coarse_a), abs(fine_b - half_b * coarse_b)
+        value_sum += (fine_a + fine_b) - value.item(w)
+        err_sum += (err_a + err_b) - error.item(w)
+        # the left half overwrites the panel's row, the right half is appended
+        end[w], value[w], error[w] = mid, fine_a, err_a
+        side[n], start[n], end[n], value[n], error[n] = k, mid, b, fine_b, err_b
         n += 1
 
     # near field then far field, each by panel start, summed pairwise: reruns
@@ -355,6 +370,13 @@ def clamp_to_shot_below(spectrum, knee: float) -> Spectrum:
     def clamped(f):
         f = np.asarray(f, dtype=float)
         s = np.asarray(spectrum(f), dtype=float)
-        return np.where(f < knee, np.minimum(s, 1.0), s)
+        # one fresh array, clamped in place: the wrapped result may be
+        # read-only or shared
+        if s.shape == f.shape:
+            out = s.copy()
+        else:  # a result that broadcasts against f, such as a scalar
+            out = np.empty(np.broadcast(f, s).shape)
+            out[...] = s
+        return np.minimum(out, 1.0, out=out, where=f < knee)
 
     return Spectrum(clamped, "feedback-clamped")

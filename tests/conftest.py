@@ -5,6 +5,16 @@ from pathlib import Path
 
 import numpy as np
 
+from sqzsim import (
+    PiecewiseSpectrum,
+    Spectrum,
+    clamp_to_shot_below,
+    default_config,
+    observe_corrected,
+    squeezed_variance,
+    total_spectrum,
+)
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # 50/50 quadrature map from (x1, p1, x2, p2) to (x+, p+, x-, p-)
@@ -33,3 +43,23 @@ def fresh_python(script, *argv):
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def sweep_spectra():
+    """The spectra of the benchmark's pulsed sweep, built through the public
+    API: the --example spectrum, flat 1.0, the dark-corrected detected chain
+    of each mode clamped below the knee, and the bare OPO term."""
+    cfg = default_config()
+
+    def chain(mode):
+        detected = observe_corrected(total_spectrum(cfg.opo, cfg.noise, mode), cfg.detection)
+        return clamp_to_shot_below(detected, cfg.noise.lf_knee)
+
+    return {
+        "piecewise": PiecewiseSpectrum(breakpoints=(50e3,), values=(1.0,),
+                                       tail_value=10 ** (-3 / 10)),
+        "flat": Spectrum.flat(1.0),
+        "minus": chain("minus"),
+        "plus": chain("plus"),
+        "opo": Spectrum(lambda f: squeezed_variance(cfg.opo, f)),
+    }

@@ -1,5 +1,6 @@
-"""The in-place spectrum chain and the one-pass range checks against the
-one-expression forms they replaced, which this module keeps as references.
+"""The in-place spectrum chain, the feedback clamp and the one-pass range
+checks against the one-expression forms they replaced, which this module
+keeps as references.
 
 Each rewritten map applies the same floating-point operations to each
 element in the same order, so its values must match bit for bit, NaN
@@ -20,6 +21,7 @@ from sqzsim import (
     OpoParams,
     Spectrum,
     antisqueezed_variance,
+    clamp_to_shot_below,
     excess_noise,
     observe,
     observe_corrected,
@@ -90,6 +92,15 @@ def ref_observe_corrected(spectrum, d):
 def ref_observe(spectrum, d):
     detected, dark = ref_observe_corrected(spectrum, d), d.dark_linear
     return Spectrum(lambda f: detected(f) + dark)
+
+
+def ref_clamp_to_shot_below(spectrum, knee):
+    def clamped(f):
+        f = np.asarray(f, dtype=float)
+        s = np.asarray(spectrum(f), dtype=float)
+        return np.where(f < knee, np.minimum(s, 1.0), s)
+
+    return Spectrum(clamped)
 
 
 def ref_checked(spectrum):
@@ -214,6 +225,9 @@ def test_chain_maps_keep_their_bits(config):
         assert_matches(observe_corrected(total, det), ref_observe_corrected(total, det))
         assert_matches(observe(total, det), ref_observe(total, det))
         assert_matches(observe(total, det), ref_observe(ref_total, det))
+        detected = observe_corrected(total, det)
+        assert_matches(clamp_to_shot_below(detected, noise.lf_knee),
+                       ref_clamp_to_shot_below(detected, noise.lf_knee))
 
 
 def test_detector_maps_do_not_write_the_spectrum_they_wrap():
@@ -223,6 +237,25 @@ def test_detector_maps_do_not_write_the_spectrum_they_wrap():
     for detected in (observe_corrected(lambda f: levels, DetectionParams()),
                      observe(lambda f: levels, DetectionParams())):
         assert detected(band).flags.writeable
+
+
+def test_the_clamp_does_not_write_the_spectrum_it_wraps():
+    # the knee lies inside the band, so both branches of the clamp act; a
+    # write to the read-only result would raise
+    band = GRID[-50_000:]
+    levels = readonly(total_spectrum(OpoParams(), ClassicalNoiseConfig(), "minus")(band))
+    clamped = clamp_to_shot_below(lambda f: levels, 2e6)(band)
+    assert clamped.flags.writeable
+    assert clamped.tobytes() == ref_clamp_to_shot_below(lambda f: levels, 2e6)(band).tobytes()
+
+
+def test_the_clamp_broadcasts_a_result_as_it_did():
+    # a wrapped result of another shape than f: a scalar, and a column
+    band = np.array([1e3, 1e5, 1e7])
+    for result in (1.7, np.array([0.4, 1.2, 3.0])[:, None]):
+        got = clamp_to_shot_below(lambda f: result, 1e5)(band[None, :])
+        want = ref_clamp_to_shot_below(lambda f: result, 1e5)(band[None, :])
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
 
 # every special value the checks branch on, among ordinary ones

@@ -280,6 +280,53 @@ print((hwm() - base) / (8 * 2**20), cli.SYNTH_PEAK_PER_RECORD)
     assert ratio <= bound, f"synth peaked at {ratio:.2f} record sizes above import"
 
 
+def test_spectrum_grid_larger_than_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    # 2^50 points would be refused by numpy's allocator with exit 3 had the
+    # grid been built; exit 2 shows it was refused before that
+    for name in ("emulate_sweep", "write_csv"):
+        monkeypatch.setattr(cli, name, _must_not_run)
+    out = tmp_path / "out"
+    assert run("--out", out, "spectrum", "--points", 2**50) == 2
+    err = capsys.readouterr().err
+    need = cli.SPECTRUM_PEAK_PER_POINT * 2**50
+    assert err.startswith("configuration error: key '--points': a grid of ")
+    assert str(need) in err and "physical memory" in err
+    assert not out.exists()
+
+
+def test_spectrum_config_grid_larger_than_memory_names_its_key(tmp_path, capsys, monkeypatch):
+    # the default 512 points against 1 MiB of physical memory
+    page = 4096
+    pages = {"SC_PHYS_PAGES": 2**20 // page, "SC_PAGE_SIZE": page}
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(cli, "emulate_sweep", _must_not_run)
+    assert 2**20 < cli.SPECTRUM_PEAK_PER_POINT * 512
+    assert run("--out", tmp_path, "spectrum") == 2
+    err = capsys.readouterr().err
+    assert "key 'analyzer.n_points': a grid of 512 points" in err
+    assert str(cli.SPECTRUM_PEAK_PER_POINT * 512) in err
+
+
+def test_spectrum_peak_is_within_its_memory_bound(tmp_path):
+    # as for synth: a fresh interpreter, whose own high-water mark is VmHWM
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    script = """
+import re, sys
+from pathlib import Path
+from sqzsim import cli
+
+def hwm():
+    return int(re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text())[1]) * 1024
+
+base = hwm()
+assert cli.main(["--out", sys.argv[1], "--seed", "1", "spectrum", "--points", "8000"]) == 0
+print((hwm() - base) / 8000, cli.SPECTRUM_PEAK_PER_POINT)
+"""
+    per_point, bound = map(float, fresh_python(script, tmp_path).split()[-2:])
+    assert per_point <= bound, f"spectrum peaked at {per_point:.0f} bytes per point"
+
+
 def test_detected_record_adds_the_dark_noise_of_one_draw():
     # the electronic noise goes in a block at a time; the record must equal
     # the shaped series plus sqrt(dark) times one standard_normal(n) draw

@@ -11,16 +11,15 @@ from sqzsim import (
     PulsedWindow,
     Spectrum,
     clamp_to_shot_below,
-    default_config,
     flat_window_variance,
     improvement_factor,
-    observe_corrected,
     pulsed_variance,
     pulsed_variance_with_error,
     squeezed_variance,
-    total_spectrum,
 )
 from sqzsim.pulsed import _distinct_sorted, _gl_rule, _lobe_table, _sinc2
+
+from conftest import sweep_spectra
 
 T_1US = PulsedWindow(duration=1e-6)
 
@@ -235,25 +234,6 @@ def test_edge_sets_match_np_unique(arrays):
     assert got.tobytes() == np.unique(np.concatenate(arrays)).tobytes()
 
 
-def _sweep_spectra():
-    """The spectra of the benchmark's pulsed sweep, built through the public
-    API: the --example spectrum, flat 1.0, the dark-corrected detected chain
-    of each mode clamped below the knee, and the bare OPO term."""
-    cfg = default_config()
-
-    def chain(mode):
-        detected = observe_corrected(total_spectrum(cfg.opo, cfg.noise, mode), cfg.detection)
-        return clamp_to_shot_below(detected, cfg.noise.lf_knee)
-
-    return {
-        "piecewise": EXAMPLE,
-        "flat": Spectrum.flat(1.0),
-        "minus": chain("minus"),
-        "plus": chain("plus"),
-        "opo": Spectrum(lambda f: squeezed_variance(cfg.opo, f)),
-    }
-
-
 # float.hex of (value, error) on the windows np.logspace(-8, -3, 11), frozen
 # from the engine that made one spectrum call per panel set; the engine may
 # batch its spectrum calls, but must return these bits. The clamped-chain
@@ -336,7 +316,7 @@ FROZEN_SWEEP = {
 
 @pytest.mark.parametrize("name", FROZEN_SWEEP)
 def test_sweep_values_and_errors_are_frozen_bit_for_bit(name):
-    spectrum = _sweep_spectra()[name]
+    spectrum = sweep_spectra()[name]
     got = [
         tuple(v.hex() for v in pulsed_variance_with_error(spectrum, PulsedWindow(t)))
         for t in np.logspace(-8, -3, 11)
