@@ -5,7 +5,8 @@ import sys
 
 
 def main(argv=None) -> int:
-    # No command calls BLAS (sqzsim has no matmul, dot or linalg), so
+    # No command calls BLAS or LAPACK (sqzsim has no matmul, dot or linalg,
+    # and its Gauss-Legendre rules are constants, not numpy's leggauss), so
     # OpenBLAS's worker threads only cost start-up time: on a 2-vCPU host a
     # cold numpy import used about 0.24 s of CPU with them and 0.18 s
     # without. numpy reads the variable when it first loads, below; a value

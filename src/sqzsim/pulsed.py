@@ -15,12 +15,17 @@ The integrand oscillates with period one lobe, which stalls generic adaptive
 quadrature, so the half-line is split at u = N (N = 1000 lobes, nu = x =
 N/T). The near field u < N gets one panel per lobe [k, k+1]. Whole lobes
 take their nodes and weights from one table, built on first use: the
-Gauss-Legendre nodes of each lobe with sinc^2 there folded into the weights,
-exact to rounding because sin^2(pi (k + v)) = sin^2(pi v) keeps the sine's
-argument within pi/2. A lobe that a spectrum breakpoint falls inside is cut
-there into generic panels. The far field u > N takes the lobe-averaged
-kernel 1/(2 pi^2 u^2) in w = N/u, where the integrand is S(x/w) / (2 pi^2 N)
-on (0, 1] and breakpoints beyond x are panel edges. The lobe table is
+Gauss-Legendre nodes of each lobe (the 16- and 8-point rules, written out)
+with sinc^2 there folded into the weights, exact to rounding because
+sin^2(pi (k + v)) = sin^2(pi v) keeps the sine's argument within pi/2. A
+lobe that a spectrum breakpoint falls inside is cut into generic panels
+between its sorted distinct edges: its ends and the breakpoints inside. The
+far field u > N takes the lobe-averaged kernel 1/(2 pi^2 u^2) in w = N/u,
+where the integrand is S(x/w) / (2 pi^2 N) on (0, 1] (a node whose x/w is
+beyond the float range lies at +inf) and breakpoints beyond x are panel
+edges. A spectrum declares a handful of breakpoints, so their positions
+b T, the cut lobes' edges and the far-field edges are worked out in Python
+floats, not in numpy arrays of one to three elements. The lobe table is
 evaluated in chunks of at most 4096 nodes, then one spectrum call covers
 everything else: x, the breakpoints beyond it and the nodes of the other
 panels. Panels of both fields (16 nodes, checked against 8) share one table,
@@ -150,18 +155,29 @@ def _sinc2(u):
     return sinc * sinc
 
 
-@functools.cache
-def _gl_rule():
-    """The GL16 nodes then the GL8 nodes on [-1, 1], shifted by +1 onto
-    [0, 2], and their weights: one spectrum call serves both rules. Built on
-    first use, so that importing the package does not import
-    numpy.polynomial."""
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = np.hstack((leggauss(_N_FINE), leggauss(8)))
-    shifted = nodes + 1.0
-    shifted.flags.writeable = weights.flags.writeable = False
-    return shifted, weights
+# the Gauss-Legendre rules on [-1, 1], 16 points then 8: the nodes and
+# weights numpy.polynomial.legendre.leggauss gives, written out so that no
+# command imports numpy.polynomial or solves an eigenproblem for them
+_GL_NODES = (
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+)
+_GL_WEIGHTS = np.array((
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+))
+# the nodes shifted by +1 onto [0, 2], so that one spectrum call serves both
+# rules on a panel
+_GL_SHIFTED = np.array(_GL_NODES) + 1.0
+_GL_SHIFTED.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
 
 @functools.cache
@@ -169,9 +185,8 @@ def _lobe_table():
     """Nodes u = k + (g + 1)/2 of every whole near-field lobe [k, k + 1],
     GL16 then GL8, and their weights: half the GL weight times sinc^2(u).
     Built on first use, so importing the package does not pay for it."""
-    shifted, gl_weights = _gl_rule()
-    nodes = np.arange(_N_LOBES)[:, None] + 0.5 * shifted
-    weights = 0.5 * gl_weights * _sinc2(nodes)
+    nodes = np.arange(_N_LOBES)[:, None] + 0.5 * _GL_SHIFTED
+    weights = 0.5 * _GL_WEIGHTS * _sinc2(nodes)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -197,22 +212,15 @@ def _gl_nodes(a, b):
     """Half-widths of the panels [a, b] and their GL16 then GL8 nodes, panel
     by panel in one flat array."""
     half = 0.5 * (b - a)
-    return half, (a[:, None] + half[:, None] * _gl_rule()[0]).ravel()
+    return half, (a[:, None] + half[:, None] * _GL_SHIFTED).ravel()
 
 
 def _gl_sums(half, vals):
     """GL16 value and |GL16 - GL8| of each panel from the integrand's values
     at its _gl_nodes."""
-    vals = vals.reshape(half.size, -1) * _gl_rule()[1]
+    vals = vals.reshape(half.size, -1) * _GL_WEIGHTS
     fine = half * vals[:, :_N_FINE].sum(axis=1)
     return fine, np.abs(fine - half * vals[:, _N_FINE:].sum(axis=1))
-
-
-def _distinct_sorted(*arrays) -> np.ndarray:
-    """np.unique of the joined arrays, without the numpy.ma import np.unique
-    pays on its first call."""
-    joined = np.sort(np.concatenate(arrays))
-    return joined[np.diff(joined, prepend=-np.inf) > 0]
 
 
 def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, float]:
@@ -220,59 +228,71 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     t = window.duration
     x = _N_LOBES / t
     s = _checked(spectrum)
+
+    def far_freq(w):
+        with np.errstate(over="ignore"):  # a node beyond the float range lies at +inf
+            return x / w
+
     # near field in lobes u = nu T; far field in w = x / nu under the
     # lobe-averaged kernel; both integrals are in units of T. Per field: the
     # frequency at a node, and the integrand from the spectrum's value there
-    freq = (lambda u: u / t, lambda w: x / w)
+    freq = (lambda u: u / t, far_freq)
     integrand = (
         lambda u, sv: sv * _sinc2(u),
         lambda w, sv: sv / (2.0 * np.pi**2 * _N_LOBES),
     )
 
     # whole lobes come from the table; a lobe with a breakpoint inside is cut
-    # there into generic panels, dropping the gaps between such lobes;
-    # breakpoints beyond x are far-field panel edges
-    whole = slice(None)
-    lobes, far_edges = _LOBE_STARTS, _FAR_EDGES
-    cut_a = cut_b = far_bp = far_at = np.empty(0)
-    bp = np.asarray(getattr(spectrum, "breakpoints", ()), dtype=float)
-    if bp.size:
-        with np.errstate(over="ignore"):  # one beyond the float range lies at w = 0
-            lobes_at = bp * t
-        inside = lobes_at[(lobes_at > 0) & (lobes_at < _N_LOBES)]
-        inside = inside[inside != np.floor(inside)]
-        if inside.size:
-            cut_lobes = np.floor(inside)
-            whole = np.ones(_N_LOBES, dtype=bool)
-            whole[cut_lobes.astype(int)] = False
-            lobes = np.flatnonzero(whole).astype(float)
-            cuts = _distinct_sorted(cut_lobes, cut_lobes + 1.0, inside)
-            in_cut_lobe = ~whole[cuts[:-1].astype(int)]
-            cut_a, cut_b = cuts[:-1][in_cut_lobe], cuts[1:][in_cut_lobe]
-        far = lobes_at > _N_LOBES
-        far_bp, far_at = bp[far], lobes_at[far]
-        if far_bp.size:
-            far_edges = _distinct_sorted(_FAR_EDGES, _N_LOBES / far_at)
+    # there into generic panels, and breakpoints beyond x are far-field panel
+    # edges. A spectrum declares a handful of breakpoints, so this runs on
+    # Python floats, in which b T beyond the float range is inf without a
+    # warning: an edge at w = 0
+    cut_edges = {}  # cut lobe k: its edges k, k + 1 and the breakpoints inside
+    far_bp, far_at = [], []
+    for b in np.asarray(getattr(spectrum, "breakpoints", ()), dtype=float).ravel().tolist():
+        u = b * float(t)
+        if 0 < u < _N_LOBES and u != math.floor(u):
+            k = math.floor(u)
+            cut_edges.setdefault(k, {float(k), k + 1.0}).add(u)
+        elif u > _N_LOBES:
+            far_bp.append(b)
+            far_at.append(u)
+    whole, lobes, cut_a, cut_b = slice(None), _LOBE_STARTS, [], []
+    if cut_edges:
+        whole = np.ones(_N_LOBES, dtype=bool)
+        whole[list(cut_edges)] = False
+        lobes = _LOBE_STARTS[whole]
+        for k in sorted(cut_edges):
+            edges = sorted(cut_edges[k])
+            cut_a += edges[:-1]
+            cut_b += edges[1:]
+    far_edges = _FAR_EDGES
+    if far_at:
+        far_edges = np.array(sorted({*_FAR_EDGES.tolist(), *(_N_LOBES / u for u in far_at)}))
 
     # one spectrum call for everything outside the lobe table: the far-field
     # breakpoints and the floats just below them, x, then the nodes of the
     # cut-lobe and the far-field panels
+    cut_a, cut_b = np.array(cut_a), np.array(cut_b)
     panels = [
         (k, a, b, *_gl_nodes(a, b))
         for k, a, b in ((0, cut_a, cut_b), (1, far_edges[:-1], far_edges[1:]))
         if a.size
     ]
-    sv = s(np.concatenate(
-        (far_bp, np.nextafter(far_bp, 0.0), [x], *(freq[k](z) for k, *_, z in panels))
-    ))
-    nf = far_bp.size
+    nf = len(far_bp)
+    sv = s(np.concatenate((
+        far_bp + [math.nextafter(b, 0.0) for b in far_bp] + [x],
+        *(freq[k](z) for k, *_, z in panels),
+    )))
 
     # what the lobe average drops, beyond reach of refinement: the next term
     # of the flat tail's series, and the boundary term of each jump beyond x
+    # (4 pi^3 b T is a Python float, so it is inf beyond the float range
+    # without a warning, and its term 0, as the exact term is to rounding)
     jumps = np.abs(sv[:nf] - sv[nf : 2 * nf])
     averaging_err = float(
         sv[2 * nf] / (4.0 * np.pi**4 * _N_LOBES**3)
-        + np.sum(jumps / (4.0 * np.pi**3 * far_at) / far_at)
+        + np.sum(jumps / [4.0 * np.pi**3 * u for u in far_at] / far_at)
     )
 
     # panel table (side, start, end, GL16 value, |GL16 - GL8| error): a
@@ -300,7 +320,6 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
         err_sum += float(np.sum(err))
     err_sum += averaging_err
 
-    shifted, gl_weights = _gl_rule()
     while err_sum > _REL_TOL * abs(value_sum) and abs(value_sum) != 0.0:
         if n == cap:
             near = float(np.sum(error[:n][side[:n] == 0]))
@@ -330,8 +349,8 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
         a, b, k = start.item(w), end.item(w), side.item(w)
         mid = 0.5 * (a + b)
         half_a, half_b = 0.5 * (mid - a), 0.5 * (b - mid)
-        z = np.concatenate((a + half_a * shifted, mid + half_b * shifted))
-        product = integrand[k](z, s(freq[k](z))).reshape(2, -1) * gl_weights
+        z = np.concatenate((a + half_a * _GL_SHIFTED, mid + half_b * _GL_SHIFTED))
+        product = integrand[k](z, s(freq[k](z))).reshape(2, -1) * _GL_WEIGHTS
         fine_a, fine_b = product[:, :_N_FINE].sum(axis=1).tolist()
         coarse_a, coarse_b = product[:, _N_FINE:].sum(axis=1).tolist()
         fine_a, fine_b = half_a * fine_a, half_b * fine_b

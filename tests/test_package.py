@@ -105,10 +105,9 @@ def test_the_package_calls_no_blas_directly():
     # `python -m sqzsim` starts OpenBLAS with one thread, which costs nothing
     # only while no command leans on BLAS; and the pulsed engine's row sums
     # keep their bits only as numpy reductions, not as BLAS products. The
-    # walk sees only names written in the package: the one indirect call is
-    # numpy's leggauss, which `pulsed._gl_rule` calls once per process and
-    # which solves a 16 x 16 (and an 8 x 8) symmetric eigenproblem through
-    # LAPACK's eigvalsh, one thread being ample for it
+    # walk sees only names written in the package; nothing reaches LAPACK
+    # through numpy either, as the Gauss-Legendre rules are written out
+    # rather than taken from leggauss, which solves an eigenproblem there
     found = []
     for path in sorted((Path(sqzsim.__file__).parent).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

@@ -1,10 +1,12 @@
 """The pulsed engine against the array-bookkeeping form it replaced, which
 this module keeps as a reference.
 
-The engine bisects its worst panel with one argmax, Python-float scalars
-and scalar table stores. Every floating-point operation is the one the
-reference makes, in the same order, so (value, error) must match bit for
-bit, and the refinement cap must raise the same message.
+The engine does its breakpoint set-up in Python floats and bisects its
+worst panel with one argmax, Python-float scalars and scalar table stores.
+Every floating-point operation is the one the reference makes, in the same
+order, so (value, error) must match bit for bit, the spectrum must be
+called at the same frequencies, and the refinement cap must raise the same
+message.
 """
 
 import math
@@ -31,7 +33,6 @@ from sqzsim.pulsed import (
     _N_LOBES,
     _REL_TOL,
     _checked,
-    _distinct_sorted,
     _gl_nodes,
     _gl_sums,
     _lobe_panels,
@@ -41,6 +42,13 @@ from sqzsim.pulsed import (
 from conftest import sweep_spectra
 
 # ------------------------------------------------------------- reference
+
+
+def _distinct_sorted(*arrays) -> np.ndarray:
+    """The sorted distinct values of the joined arrays, from which the
+    reference forms its panel edges: np.unique's, bit for bit."""
+    joined = np.sort(np.concatenate(arrays))
+    return joined[np.diff(joined, prepend=-np.inf) > 0]
 
 
 def ref_pulsed_variance_with_error(spectrum, window, ties=None):
@@ -277,3 +285,56 @@ class _PeakInACutLobe:
 def test_bisections_of_cut_and_far_panels_match_the_reference(lobes_at, peak_at, width):
     t = 1e-6
     assert_same_outcome(_PeakInACutLobe(t, lobes_at, peak_at, width), PulsedWindow(t))
+
+
+_EDGES = st.lists(st.sampled_from([0.0, 1e-300, 0.125, 1.0, 5e4, 1e9]), max_size=12)
+
+
+@given(st.lists(_EDGES, min_size=1, max_size=3))
+def test_edge_sets_match_np_unique(arrays):
+    # the reference's panel edges are np.unique's, bit for bit; the cuts of a
+    # spectrum without near-field breakpoints are empty
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    got = _distinct_sorted(*arrays)
+    assert got.tobytes() == np.unique(np.concatenate(arrays)).tobytes()
+
+
+class _Declared:
+    """A piecewise spectrum whose breakpoints attribute is passed on as
+    given: in any order, with repeats, as a tuple, a list or an array."""
+
+    def __init__(self, breakpoints):
+        self.breakpoints = breakpoints
+        edges = sorted(set(np.asarray(breakpoints, dtype=float).tolist()))
+        levels = [(1.0, 0.3, 2.0, 0.5, 1.5)[i % 5] for i in range(len(edges))]
+        self.inner = PiecewiseSpectrum(tuple(edges), tuple(levels), 0.6)
+
+    def __call__(self, f):
+        return self.inner(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    windows,
+    st.lists(st.one_of(st.floats(1e-3, 3e3), st.integers(1, 2999).map(float)),
+             min_size=1, max_size=6),
+    st.sampled_from([tuple, list, np.array]),
+)
+# in lobes (b T) at T = 2^-20 s, where b T is exact: repeated and unsorted
+# breakpoints; two inside one lobe; cuts in adjacent lobes; one on a whole
+# lobe beside a cut, one on the edge of the near field and one beyond it
+@example(PulsedWindow(2.0**-20), [7.75, 3.5, 2500.25, 7.75, 3.5, 1500.5], list)
+@example(PulsedWindow(2.0**-20), [3.25, 3.75, 3.5], np.array)
+@example(PulsedWindow(2.0**-20), [4.5, 3.5, 5.25], tuple)
+@example(PulsedWindow(2.0**-20), [3.0, 3.5, 1000.0, 2500.25, 2500.25], np.array)
+def test_declared_breakpoints_match_the_reference(window, lobes_at, container):
+    t = window.duration
+    assert_same_outcome(_Declared(container([u / t for u in lobes_at])), window)
+
+
+# at T = 10 s, x = 100 Hz: 1e308 Hz lies at b T = 1e309, beyond the float
+# range, so at w = 0, beside a cut at 522.5 lobes and a whole lobe at 525
+def test_a_breakpoint_beyond_the_float_range_in_lobes_matches_the_reference():
+    spectrum = _Declared((1e308, 52.25, 52.5))
+    assert 1e308 * 10.0 == math.inf
+    assert isinstance(assert_same_outcome(spectrum, PulsedWindow(10.0))[0], str)
