@@ -72,7 +72,10 @@ SYNTH_PEAK_PER_RECORD = 6
 SPECTRUM_PEAK_PER_POINT = 8 * 257 * 8
 
 # the electronic noise of a detected record is drawn this many samples at a
-# time, so it needs no record-sized temporary
+# time for cache locality: each block is drawn, scaled and added while it is
+# in cache. One draw of the whole record gives the same samples and the same
+# peak memory, as synth peaks inside irfft, but a slower dark step: 87 against
+# 83 ms at n = 2^22, 22 against 21 ms at 2^20 (numpy 2.4, x86-64, median of 15)
 _DARK_BLOCK_SAMPLES = 1 << 16
 
 # piecewise model of the stabilized source: shot-limited below 50 kHz,
@@ -242,6 +245,13 @@ def cmd_pulsed(cfg: RunConfig, args) -> None:
 
     value, err = pulsed_variance_with_error(spectrum, window)
     flat_ref = flat_window_variance(1.0, window)
+    # a variance beyond the float range reads inf or 0, and a subnormal one
+    # can overflow its improvement factor: refuse both before any output
+    if not (0 < value < math.inf and flat_ref / value < math.inf):
+        raise ValueError(
+            f"the window variance at T = {window.duration:g} s is {value!r}: it and "
+            "its improvement factor must be finite and positive floats"
+        )
     report = {
         "window_duration_s": window.duration,
         "spectrum": desc,
@@ -267,7 +277,7 @@ def cmd_pulsed(cfg: RunConfig, args) -> None:
 
     out = _out_dir(cfg)
     path = out / "pulsed_report.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
+    path.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
     print(path)
 
 
@@ -403,7 +413,7 @@ def cmd_criteria(cfg: RunConfig, args) -> None:
 
     out = _out_dir(cfg)
     path = out / "criteria_report.json"
-    path.write_text(json.dumps(report, indent=2) + "\n")
+    path.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
     print(path)
 
 
@@ -486,7 +496,8 @@ def main(argv=None) -> int:
     except (TimeSeriesFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, RuntimeWarning) as exc:
+        # a RuntimeWarning arrives here when warnings are errors (python -W error)
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

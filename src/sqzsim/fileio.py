@@ -96,7 +96,7 @@ def write_trace_csv(path, trace: Trace) -> Path:
 
 
 def write_trace_json(path, trace: Trace) -> None:
-    Path(path).write_text(json.dumps(trace_to_dict(trace), indent=2) + "\n")
+    Path(path).write_text(json.dumps(trace_to_dict(trace), indent=2, allow_nan=False) + "\n")
 
 
 def trace_to_dict(trace: Trace) -> dict:

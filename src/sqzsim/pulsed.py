@@ -129,8 +129,7 @@ def flat_window_variance(level: float, window: PulsedWindow) -> float:
 
 def _checked(spectrum):
     def s(nu):
-        with np.errstate(over="ignore"):
-            out = np.asarray(spectrum(nu), dtype=float)
+        out = np.asarray(spectrum(nu), dtype=float)
         if out.size:
             # NaN propagates through min, and +-inf shows in min or max, so
             # one pass each tests finiteness first and the sign second
@@ -223,20 +222,20 @@ def _gl_sums(half, vals):
     return fine, np.abs(fine - half * vals[:, _N_FINE:].sum(axis=1))
 
 
+# overflow is ignored in the spectrum calls and in x / w, where a node beyond
+# the float range lies at +inf; the engine's own sums stay below half the
+# largest spectrum value, which the range check bounds
+@np.errstate(over="ignore")
 def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, float]:
     """Window-filtered noise variance plus a conservative error estimate."""
     t = window.duration
     x = _N_LOBES / t
     s = _checked(spectrum)
 
-    def far_freq(w):
-        with np.errstate(over="ignore"):  # a node beyond the float range lies at +inf
-            return x / w
-
     # near field in lobes u = nu T; far field in w = x / nu under the
     # lobe-averaged kernel; both integrals are in units of T. Per field: the
     # frequency at a node, and the integrand from the spectrum's value there
-    freq = (lambda u: u / t, far_freq)
+    freq = (lambda u: u / t, lambda w: x / w)
     integrand = (
         lambda u, sv: sv * _sinc2(u),
         lambda w, sv: sv / (2.0 * np.pi**2 * _N_LOBES),
@@ -387,15 +386,8 @@ def clamp_to_shot_below(spectrum, knee: float) -> Spectrum:
         raise ValueError("knee frequency must be positive")
 
     def clamped(f):
-        f = np.asarray(f, dtype=float)
-        s = np.asarray(spectrum(f), dtype=float)
-        # one fresh array, clamped in place: the wrapped result may be
-        # read-only or shared
-        if s.shape == f.shape:
-            out = s.copy()
-        else:  # a result that broadcasts against f, such as a scalar
-            out = np.empty(np.broadcast(f, s).shape)
-            out[...] = s
-        return np.minimum(out, 1.0, out=out, where=f < knee)
+        # min(S, inf) is S bit for bit, NaN, +-inf and -0.0 included; the
+        # result is a fresh array, so the wrapped one is never written
+        return np.minimum(spectrum(f), np.where(f < knee, 1.0, np.inf))
 
     return Spectrum(clamped, "feedback-clamped")

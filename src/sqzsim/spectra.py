@@ -16,13 +16,6 @@ import numpy as np
 __all__ = ["Spectrum", "TabulatedSpectrum"]
 
 
-def _eval_like(fn: Callable, f) -> float | np.ndarray:
-    """Evaluate fn on f, returning a float for scalar input."""
-    arr = np.asarray(f, dtype=float)
-    out = fn(arr)
-    return float(out) if arr.ndim == 0 else out
-
-
 class Spectrum:
     """Wraps a vectorized frequency -> variance function and labels it.
 
@@ -35,13 +28,15 @@ class Spectrum:
         self.label = label
 
     def __call__(self, f):
-        return _eval_like(self._fn, f)
+        """Evaluate on f as a float array; a float for scalar input."""
+        f = np.asarray(f, dtype=float)
+        out = self._fn(f)
+        return float(out) if f.ndim == 0 else out
 
     @classmethod
     def flat(cls, value: float, label: str = "") -> "Spectrum":
         value = float(value)
-        return cls(lambda f: np.full_like(np.asarray(f, dtype=float), value),
-                   label or f"flat {value}")
+        return cls(lambda f: np.full_like(f, value), label or f"flat {value}")
 
     def __repr__(self):
         return f"Spectrum({self.label or self._fn!r})"

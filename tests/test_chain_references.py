@@ -258,6 +258,25 @@ def test_the_clamp_broadcasts_a_result_as_it_did():
         assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
 
+# wrapped values the clamp must pass or cap as the reference does
+LEVELS = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0,
+          np.nextafter(1.0, 2.0), 3.0, np.finfo(float).max)
+
+
+def test_the_clamp_keeps_special_spectrum_values():
+    # 5e4 is among the scalar inputs, so the frequencies fall below, at and
+    # above the knee; each wrapped result is read-only, and a write would raise
+    levels = readonly(LEVELS)
+    cycled = readonly(np.resize(levels, GRID.shape))
+    results = (*LEVELS, levels[:, None], lambda f: cycled[: f.size].reshape(f.shape))
+    for result in results:
+        spectrum = result if callable(result) else lambda f, r=result: r
+        assert_matches(clamp_to_shot_below(spectrum, 5e4),
+                       ref_clamp_to_shot_below(spectrum, 5e4))
+    assert np.array_equal(levels, LEVELS, equal_nan=True)
+    assert np.array_equal(cycled, np.resize(LEVELS, GRID.shape), equal_nan=True)
+
+
 # every special value the checks branch on, among ordinary ones
 values = st.one_of(
     st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, -1.0, 5e-324, -5e-324]),

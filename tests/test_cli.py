@@ -191,6 +191,19 @@ def test_pulsed_rejects_non_finite_piecewise(tmp_path, capsys, inline):
     assert "'--piecewise'" in capsys.readouterr().err
 
 
+# the variance overflows; it underflows to 0; the sum in lobe units is
+# already 0; a subnormal variance overflows the improvement factor
+@pytest.mark.parametrize("level, t", [("1e300", "1e10"), ("1e-300", "1e-300"), ("5e-324", "1"),
+                                      ("5e-320", "1")])
+def test_pulsed_refuses_a_variance_beyond_the_float_range(tmp_path, capsys, level, t):
+    assert run("--out", tmp_path, "pulsed", f"--flat={level}", f"--T={t}") == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"numerical error: the window variance at T = {float(t):g} s is " in err
+    assert "must be finite and positive floats" in err
+    assert not (tmp_path / "pulsed_report.json").exists()
+
+
 def test_pulsed_conflicting_sources(tmp_path):
     assert run("--out", tmp_path, "pulsed", "--flat", 1.0, "--example") == 2
 
@@ -516,6 +529,18 @@ def test_out_dir_of_the_wrong_type_is_a_config_error(tmp_path, capsys, monkeypat
     assert run("--config", "bad.json", "criteria") == 2
     assert f"key 'out_dir': expected a string, got {value!r}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+@pytest.mark.parametrize("command", [["criteria"], ["spectrum", "--points", 50],
+                                     ["synth", "--n-samples", 1024]])
+def test_a_warning_raised_as_an_error_is_a_numerical_error(tmp_path, capsys, command):
+    # (lf_knee / f)^2 overflows; under python -W error numpy raises the warning
+    path = tmp_path / "knee.json"
+    path.write_text(json.dumps({"noise": {"lf_knee": 1e300}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("--config", path, "--seed", 1, "--out", tmp_path / "out", *command) == 3
+    assert "numerical error: overflow encountered in " in capsys.readouterr().err
 
 
 def test_criteria_at_a_huge_frequency_warns_nothing(tmp_path, capsys):

@@ -109,3 +109,12 @@ def test_trace_json_round_trip(tmp_path):
     assert np.array_equal(back.freqs, trace.freqs)
     assert np.array_equal(back.values_db, trace.values_db)
     assert back.rbw == trace.rbw and back.vbw == trace.vbw
+
+
+def test_trace_json_refuses_non_finite_values(tmp_path):
+    # JSON has no NaN; json.loads would read one back as a float
+    trace = Trace(np.array([1e5, 2e5]), np.array([-3.0, np.nan]), rbw=1e4, vbw=1e2)
+    path = tmp_path / "trace.json"
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        write_trace_json(path, trace)
+    assert not path.exists()
