@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .opo import OpoParams, squeezed_variance
-from .spectra import Spectrum
+from .spectra import Spectrum, elementwise
 
 __all__ = ["ClassicalNoiseConfig", "excess_noise", "total_spectrum", "MODES"]
 
@@ -70,19 +70,18 @@ class ClassicalNoiseConfig:
         return self.relax_amp_plus if mode == "plus" else self.relax_amp_minus
 
 
+@elementwise
 def excess_noise(config: ClassicalNoiseConfig, f, mode: str) -> float | np.ndarray:
     """Additive excess variance at sideband f > 0 for one superposition mode."""
     amp = config.relax_amp(mode)
-    f = np.asarray(f, dtype=float)
     # one pass, as in opo._check_freq
     if np.fmin.reduce(f, axis=None, initial=np.inf) <= 0:
         raise ValueError("excess noise is defined for f > 0 only")
     hw = 0.5 * config.relax_fwhm
     # the Lorentzian's denominator and the low-frequency term are each one
-    # fresh array updated in place (for 0-d f a numpy scalar, which the
-    # augmented assignments rebind, keeping the scalar power, as in opo). Far
-    # from the centre the square overflows to inf, and amp hw^2 / inf = 0 is
-    # the right value, so that overflow is not worth a warning
+    # fresh array updated in place. Far from the centre the square overflows
+    # to inf, and amp hw^2 / inf = 0 is the right value, so that overflow is
+    # not worth a warning
     with np.errstate(over="ignore"):
         lorentz = f - config.relax_center
         lorentz **= 2
@@ -93,7 +92,7 @@ def excess_noise(config: ClassicalNoiseConfig, f, mode: str) -> float | np.ndarr
     out **= config.lf_exponent
     out *= config.lf_amp
     out += lorentz
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def total_spectrum(

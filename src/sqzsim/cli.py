@@ -26,6 +26,7 @@ from .detection import (
     observe,  # not called here: perfbench's traced CLI run probes it by this name
     observe_corrected,
     observed_relative_to_shot,
+    to_db,
 )
 from .dsp import (
     SweepConfig,
@@ -332,7 +333,7 @@ def _trace_from_welch(ts: TimeSeries, rbw: float) -> Trace:
     freqs, values = psd.freqs[1:], psd.values[1:]  # DC bin carries no signal
     if np.any(values <= 0):
         raise ValueError("estimated PSD is not positive; record too short?")
-    return Trace(freqs=freqs, values_db=10.0 * np.log10(values), rbw=rbw, vbw=rbw)
+    return Trace(freqs=freqs, values_db=to_db(values), rbw=rbw, vbw=rbw)
 
 
 def cmd_analyze(cfg: RunConfig, args) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import Spectrum
+from .spectra import Spectrum, elementwise
 
 __all__ = [
     "DetectionParams",
@@ -99,16 +99,14 @@ def observed_relative_to_shot(spectrum, d: DetectionParams) -> Spectrum:
     return Spectrum(lambda f: observed(f) / shot, "observed relative to shot")
 
 
+@elementwise
 def to_db(v) -> float | np.ndarray:
     """Linear power ratio to dB; strictly positive input required."""
-    v = np.asarray(v, dtype=float)
     if np.any(v <= 0):
         raise ValueError("dB conversion requires strictly positive values")
-    out = 10.0 * np.log10(v)
-    return float(out) if out.ndim == 0 else out
+    return 10.0 * np.log10(v)
 
 
+@elementwise
 def from_db(db) -> float | np.ndarray:
-    db = np.asarray(db, dtype=float)
-    out = 10.0 ** (db / 10.0)
-    return float(out) if out.ndim == 0 else out
+    return 10.0 ** (db / 10.0)

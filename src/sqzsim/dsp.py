@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detection import to_db
 from .spectra import Spectrum, TabulatedSpectrum
 
 __all__ = [
@@ -302,7 +303,7 @@ def emulate_sweep(spectrum, cfg: SweepConfig, seed: int) -> Trace:
     drawn = rng.gamma(shape=float(n_avg), scale=target / n_avg)
     return Trace(
         freqs=cfg.freqs,
-        values_db=10.0 * np.log10(drawn),
+        values_db=to_db(drawn),
         rbw=cfg.rbw,
         vbw=cfg.vbw,
     )

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectra import elementwise
+
 __all__ = [
     "AboveThresholdError",
     "OpoParams",
@@ -64,7 +66,6 @@ _X_MAX = 1e150
 
 
 def _check_freq(f):
-    f = np.asarray(f, dtype=float)
     # one pass, with no boolean temporary: fmin skips NaN as f < 0 does, and
     # the initial inf lets empty input pass
     if np.fmin.reduce(f, axis=None, initial=np.inf) < 0:
@@ -80,10 +81,7 @@ def _lorentzian_terms(params: OpoParams, f):
     # far below half an ulp of x^2, so A = B = x^2 and A/B = 1 exactly;
     # clamping f there changes no finite value and keeps x^2 from
     # overflowing to inf/inf = NaN.
-    # x^2 is one fresh array, updated in place into B; A is a second one. A
-    # 0-d f gives numpy scalars, which the augmented assignments rebind, so
-    # a scalar keeps the scalar power, which does not always round x^2 as
-    # the array loop's x*x does
+    # x^2 is one fresh array, updated in place into B; A is a second one
     f_c = params.cavity_hwhm
     x2 = np.minimum(f, _X_MAX * f_c)
     x2 /= f_c
@@ -95,13 +93,14 @@ def _lorentzian_terms(params: OpoParams, f):
 
 
 def _variance(params: OpoParams, ratio):
-    """eta ratio + (1 - eta) in place; a float for scalar input."""
+    """eta ratio + (1 - eta) in place."""
     eta = params.escape_efficiency
     ratio *= eta
     ratio += 1.0 - eta
-    return float(ratio) if ratio.ndim == 0 else ratio
+    return ratio
 
 
+@elementwise
 def squeezed_variance(params: OpoParams, f) -> float | np.ndarray:
     """Variance of the squeezed quadratures (x-, p+) at sideband f in Hz."""
     a, b = _lorentzian_terms(params, _check_freq(f))
@@ -109,6 +108,7 @@ def squeezed_variance(params: OpoParams, f) -> float | np.ndarray:
     return _variance(params, a)
 
 
+@elementwise
 def antisqueezed_variance(params: OpoParams, f) -> float | np.ndarray:
     """Variance of the anti-squeezed quadratures (x+, p-) at sideband f in Hz."""
     a, b = _lorentzian_terms(params, _check_freq(f))

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import Spectrum
+from .spectra import Spectrum, elementwise
 
 __all__ = [
     "PulsedWindow",
@@ -115,11 +115,10 @@ class PiecewiseSpectrum:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "tail_value", tail)
 
+    @elementwise
     def __call__(self, f):
-        f = np.asarray(f, dtype=float)
         table = np.asarray(self.values + (self.tail_value,))
-        out = table[np.searchsorted(self.breakpoints, f, side="right")]
-        return float(out) if out.ndim == 0 else out
+        return table[np.searchsorted(self.breakpoints, f, side="right")]
 
 
 def flat_window_variance(level: float, window: PulsedWindow) -> float:

@@ -1,7 +1,9 @@
 """One-sided noise spectra as evaluable objects.
 
 A spectrum is any callable mapping sideband frequency in Hz (scalar or
-ndarray) to linear noise variance. Model spectra throughout the package are
+ndarray) to linear noise variance. A scalar frequency is evaluated as a
+1-element array (see `elementwise`), so scalar and array results agree bit
+for bit. Model spectra throughout the package are
 shot-noise normalized: vacuum = 1.0 at every frequency. Tabulated spectra
 produced by estimators carry whatever units the table was built in (e.g.
 1/Hz for a physical PSD).
@@ -9,11 +11,34 @@ produced by estimators carry whatever units the table was built in (e.g.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
 
 __all__ = ["Spectrum", "TabulatedSpectrum"]
+
+
+def elementwise(fn):
+    """Evaluate fn(obj, f, *args), or fn(f) if it takes f alone, on f as a
+    float array, so that fn's body takes arrays only.
+
+    A 0-d f is evaluated as the 1-element array f.reshape(1) and its result
+    returned as a float: a scalar gets the bits an array gives it, which
+    numpy's scalar operations (such as its power) do not always round alike.
+    """
+    at = int(fn.__code__.co_argcount > 1)  # f's place among the arguments
+
+    @functools.wraps(fn)
+    def call(*args):
+        args = [*args]
+        f = args[at] = np.asarray(args[at], dtype=float)
+        if f.ndim:
+            return fn(*args)
+        args[at] = f.reshape(1)
+        return float(fn(*args)[0])
+
+    return call
 
 
 class Spectrum:
@@ -27,11 +52,10 @@ class Spectrum:
         self._fn = fn
         self.label = label
 
+    @elementwise
     def __call__(self, f):
         """Evaluate on f as a float array; a float for scalar input."""
-        f = np.asarray(f, dtype=float)
-        out = self._fn(f)
-        return float(out) if f.ndim == 0 else out
+        return self._fn(f)
 
     @classmethod
     def flat(cls, value: float, label: str = "") -> "Spectrum":

@@ -406,6 +406,17 @@ def test_criteria_report(tmp_path):
         assert 40e3 <= doc["snl_crossing_hz"][mode] <= 60e3
 
 
+def test_criteria_at_one_frequency_reports_the_array_values(tmp_path):
+    # numpy's scalar power rounds (f / cavity_hwhm)^2 differently from the
+    # array loop at this frequency, which a scalar path would show
+    f = 9764694.0
+    assert run("--out", tmp_path, "criteria", "--freq", f) == 0
+    doc = json.loads((tmp_path / "criteria_report.json").read_text())
+    src, det = cli._mode_spectra(default_config())
+    assert doc["inseparability_detected"] == cli._inseparability(det, np.array([f]))[0]
+    assert doc["inseparability_source"] == cli._inseparability(src, np.array([f]))[0]
+
+
 def test_criteria_names_the_bracket_it_searched(tmp_path, capsys):
     # g(hi) >= 0: the relaxation peak lifts the minus mode above shot noise at
     # the top of the bracket

@@ -2,7 +2,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sqzsim import PiecewiseSpectrum, Spectrum, TabulatedSpectrum
+from sqzsim import (
+    ClassicalNoiseConfig,
+    DetectionParams,
+    OpoParams,
+    PiecewiseSpectrum,
+    Spectrum,
+    TabulatedSpectrum,
+    antisqueezed_variance,
+    clamp_to_shot_below,
+    excess_noise,
+    from_db,
+    observe,
+    observe_corrected,
+    squeezed_variance,
+    to_db,
+    total_spectrum,
+)
 
 
 def test_flat_scalar_and_array():
@@ -51,3 +67,38 @@ def test_piecewise_validation():
         PiecewiseSpectrum(breakpoints=(1.0,), values=(1.0,), tail_value=0.0)
     with pytest.raises(ValueError):
         PiecewiseSpectrum(breakpoints=(1.0,), values=(1.0, 2.0), tail_value=1.0)
+
+
+def _scalar_disagreements(fn, xs):
+    """How many x give fn(float(x)) other bits than fn(np.array([x]))[0]."""
+    scalar = np.array([fn(x) for x in xs.tolist()])
+    array = np.array([fn(np.array([x]))[0] for x in xs])
+    return int(np.count_nonzero(scalar.view(np.int64) != array.view(np.int64)))
+
+
+def test_a_scalar_gets_the_bits_of_a_one_element_array():
+    # log-uniform over the physical band; at the default parameters numpy's
+    # scalar power rounds differently from the array loop at some of these
+    rng = np.random.default_rng(0)
+    freqs = 10.0 ** rng.uniform(3.0, 8.0, 20_000)
+    opo, noise, det = OpoParams(), ClassicalNoiseConfig(), DetectionParams()
+    fns = {
+        "squeezed_variance": lambda f: squeezed_variance(opo, f),
+        "antisqueezed_variance": lambda f: antisqueezed_variance(opo, f),
+        "piecewise": PiecewiseSpectrum((50e3, 1e6), (1.0, 0.5), 0.7),
+        "tabulated": TabulatedSpectrum(np.geomspace(1e3, 1e8, 101),
+                                       np.linspace(0.3, 2.0, 101) ** 2),
+    }
+    for mode in ("plus", "minus"):
+        total = total_spectrum(opo, noise, mode)
+        fns[f"excess_noise {mode}"] = lambda f, mode=mode: excess_noise(noise, f, mode)
+        fns[f"total_spectrum {mode}"] = total
+        fns[f"observe_corrected {mode}"] = observe_corrected(total, det)
+        fns[f"observe {mode}"] = observe(total, det)
+        fns[f"clamp_to_shot_below {mode}"] = clamp_to_shot_below(
+            observe_corrected(total, det), noise.lf_knee)
+    db = np.random.default_rng(0).uniform(-40.0, 40.0, 20_000)
+    counts = {name: _scalar_disagreements(fn, freqs) for name, fn in fns.items()}
+    counts["from_db"] = _scalar_disagreements(from_db, db)
+    counts["to_db"] = _scalar_disagreements(to_db, from_db(db))
+    assert counts == dict.fromkeys(counts, 0)
