@@ -10,6 +10,7 @@ deterministic given (config, seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -94,15 +95,29 @@ def _finite_positive(flag: str, value: float, what: str) -> float:
     return value
 
 
-def _require_memory(key: str, what: str, need: int) -> None:
-    """A ConfigError naming the key if what needs more than the physical
-    memory at peak, raised before anything of that size is allocated."""
+@contextlib.contextmanager
+def _peak_memory(key: str, what: str, need: int):
+    """Run a block whose peak memory is estimated at need bytes.
+
+    A ConfigError naming the key if need exceeds the physical memory, raised
+    before anything of that size is allocated. An allocation can still fail
+    below it, as under an address-space limit (ulimit -v); the MemoryError
+    then names the key and the estimate as well.
+    """
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ConfigError(
             f"key '{key}': {what} needs about {need} bytes at peak, more than "
             f"the {have} bytes of physical memory"
         )
+    try:
+        yield
+    except MemoryError as exc:
+        # numpy's names the size it could not allocate; Python's own is empty
+        raise MemoryError(
+            f"key '{key}': {what}, about {need / 2**20:.0f} MiB at peak: "
+            f"{str(exc) or 'an allocation failed'}"
+        ) from exc
 
 
 def _sub_seeds(seed: int, n: int) -> list[int]:
@@ -159,41 +174,41 @@ def _sweep_config(cfg: RunConfig, args) -> SweepConfig:
 
 def cmd_spectrum(cfg: RunConfig, args) -> None:
     sweep = _sweep_config(cfg, args)
-    _require_memory("--points" if args.points is not None else "analyzer.n_points",
-                    f"a grid of {sweep.n_points} points",
-                    SPECTRUM_PEAK_PER_POINT * sweep.n_points)
-    out = _out_dir(cfg)
-    modes = ("plus", "minus") if args.mode == "both" else (args.mode,)
-    freqs = sweep.freqs
+    with _peak_memory("--points" if args.points is not None else "analyzer.n_points",
+                      f"a grid of {sweep.n_points} points",
+                      SPECTRUM_PEAK_PER_POINT * sweep.n_points):
+        out = _out_dir(cfg)
+        modes = ("plus", "minus") if args.mode == "both" else (args.mode,)
+        freqs = sweep.freqs
 
-    src, det = _mode_spectra(cfg)
+        src, det = _mode_spectra(cfg)
 
-    written = [
-        write_csv(
-            out / "spectrum_analytic.csv",
-            "freq_hz,s_plus,s_minus,s_plus_detected,s_minus_detected",
-            (freqs, src["plus"](freqs), src["minus"](freqs),
-             det["plus"](freqs), det["minus"](freqs)),
+        written = [
+            write_csv(
+                out / "spectrum_analytic.csv",
+                "freq_hz,s_plus,s_minus,s_plus_detected,s_minus_detected",
+                (freqs, src["plus"](freqs), src["minus"](freqs),
+                 det["plus"](freqs), det["minus"](freqs)),
+            )
+        ]
+
+        written.append(
+            write_csv(out / "inseparability.csv", "freq_hz,inseparability",
+                      (freqs, _inseparability(det, freqs)))
         )
-    ]
 
-    written.append(
-        write_csv(out / "inseparability.csv", "freq_hz,inseparability",
-                  (freqs, _inseparability(det, freqs)))
-    )
-
-    # sub-seeds 0/1 drive the plain plus/minus traces and 2/3 the
-    # dark-corrected ones; generate_state is prefix-stable, so drawing more
-    # words never changes the first ones
-    seeds = _sub_seeds(cfg.require_seed(), 4)
-    for k, mode in enumerate(("plus", "minus")):
-        if mode not in modes:
-            continue
-        views = (("", observed_relative_to_shot(src[mode], cfg.detection)),
-                 ("_corrected", det[mode]))
-        for (suffix, spectrum), seed in zip(views, seeds[k::2]):
-            trace = emulate_sweep(spectrum, sweep, seed)
-            written += _emit_trace(trace, out, f"trace_{mode}{suffix}", args.format)
+        # sub-seeds 0/1 drive the plain plus/minus traces and 2/3 the
+        # dark-corrected ones; generate_state is prefix-stable, so drawing more
+        # words never changes the first ones
+        seeds = _sub_seeds(cfg.require_seed(), 4)
+        for k, mode in enumerate(("plus", "minus")):
+            if mode not in modes:
+                continue
+            views = (("", observed_relative_to_shot(src[mode], cfg.detection)),
+                     ("_corrected", det[mode]))
+            for (suffix, spectrum), seed in zip(views, seeds[k::2]):
+                trace = emulate_sweep(spectrum, sweep, seed)
+                written += _emit_trace(trace, out, f"trace_{mode}{suffix}", args.format)
 
     for p in written:
         print(p)
@@ -237,6 +252,12 @@ def _pulsed_spectrum(cfg: RunConfig, args):
     return spec, desc
 
 
+def _readable(x: float) -> str:
+    """x to six decimals, in exponent form where fixed point would show it
+    as zeros or as hundreds of digits."""
+    return f"{x:.6f}" if 1e-4 <= abs(x) < 1e6 else f"{x:.6e}"
+
+
 def cmd_pulsed(cfg: RunConfig, args) -> None:
     try:
         window = PulsedWindow(duration=args.T)
@@ -270,8 +291,8 @@ def cmd_pulsed(cfg: RunConfig, args) -> None:
     print(f"window duration     : {window.duration:.6g} s")
     print(f"pulsed variance     : {value:.9e}")
     print(f"shot-limited value  : {flat_ref:.9e}  (T/2)")
-    print(f"normalized ratio    : {report['normalized_ratio']:.6f}")
-    print(f"improvement factor  : {report['improvement_factor']:.6f}")
+    print(f"normalized ratio    : {_readable(report['normalized_ratio'])}")
+    print(f"improvement factor  : {_readable(report['improvement_factor'])}")
     if args.example:
         print(f"reference factor    : {EXAMPLE_REFERENCE_FACTOR}")
     print(f"quadrature error    : {err:.3e}")
@@ -319,12 +340,12 @@ def cmd_synth(cfg: RunConfig, args) -> None:
         )
     _finite_positive("--sample-rate", args.sample_rate, "sample rate")
     record = 8 * n
-    _require_memory("--n-samples", f"a record of {n} samples ({record} bytes)",
-                    SYNTH_PEAK_PER_RECORD * record)
-    ts = detected_record(cfg, args.mode, args.sample_rate, n)
-    out = _out_dir(cfg)
-    path = out / f"timeseries_{args.mode}.sqts"
-    write_timeseries(path, ts)
+    with _peak_memory("--n-samples", f"a record of {n} samples ({record} bytes)",
+                      SYNTH_PEAK_PER_RECORD * record):
+        ts = detected_record(cfg, args.mode, args.sample_rate, n)
+        out = _out_dir(cfg)
+        path = out / f"timeseries_{args.mode}.sqts"
+        write_timeseries(path, ts)
     print(path)
 
 

@@ -158,6 +158,20 @@ def test_pulsed_example_at_extreme_windows(tmp_path, capsys, t, factor):
     assert f"improvement factor  : {factor}" in capsys.readouterr().out
 
 
+def test_pulsed_prints_an_extreme_ratio_in_exponent_form(tmp_path, capsys):
+    assert run("--out", tmp_path, "pulsed", "--flat=1e-300", "--T=1") == 0
+    out = capsys.readouterr().out
+    assert "normalized ratio    : 1.000000e-300\n" in out
+    assert "improvement factor  : 1.000000e+300\n" in out
+
+
+@pytest.mark.parametrize("x, shown", [(1.0, "1.000000"), (1e-4, "0.000100"),
+                                      (-1e-4, "-0.000100"), (9.99e-5, "9.990000e-05"),
+                                      (999999.5, "999999.500000"), (1e6, "1.000000e+06")])
+def test_pulsed_figures_are_fixed_point_only_where_it_reads(x, shown):
+    assert cli._readable(x) == shown
+
+
 @pytest.mark.parametrize("mode", ["plus", "minus"])
 def test_pulsed_model_at_a_window_reaching_past_float_squares(tmp_path, capsys, mode):
     # the near field runs to 1000 / T = 1e173 Hz, where S = 1
@@ -256,7 +270,60 @@ def test_running_out_of_memory_is_a_numerical_error(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "write_csv", out_of_memory)
     assert run("--out", tmp_path, "spectrum", "--points", 64) == 3
     err = capsys.readouterr().err
-    assert err == "numerical error: out of memory in spectrum: Unable to allocate 19.1 GiB\n"
+    # inside the grid's memory estimate, the message names its key and size
+    need = cli.SPECTRUM_PEAK_PER_POINT * 64
+    assert err == ("numerical error: out of memory in spectrum: key '--points': a grid of 64 "
+                   f"points, about {need / 2**20:.0f} MiB at peak: Unable to allocate 19.1 GiB\n")
+
+    # outside any estimate; Python's own MemoryError carries no message
+    def no_memory_left(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "squeezed_variance", no_memory_left)
+    assert run("--out", tmp_path, "criteria") == 3
+    err = capsys.readouterr().err
+    assert err == "numerical error: out of memory in criteria: an allocation failed\n"
+
+
+# lowers its own address-space limit to its size after import plus a margin
+# (sys.argv[1] bytes), then runs the command in sys.argv[2:]; prints the
+# exit code and the command's stderr
+UNDER_AN_ADDRESS_SPACE_LIMIT = """
+import contextlib, io, re, resource, sys
+from pathlib import Path
+from sqzsim import cli
+
+size = int(re.search(r"VmSize:\\s*(\\d+) kB", Path("/proc/self/status").read_text())[1]) * 1024
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), hard))
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = cli.main(sys.argv[2:])
+print(code, err.getvalue(), end="")
+"""
+
+
+@pytest.mark.parametrize("argv, what, need", [
+    (["synth", "--n-samples", "4194304"],
+     "key '--n-samples': a record of 4194304 samples (33554432 bytes)",
+     cli.SYNTH_PEAK_PER_RECORD * 8 * 2**22),
+    (["spectrum", "--points", "20000"], "key '--points': a grid of 20000 points",
+     cli.SPECTRUM_PEAK_PER_POINT * 20000),
+])
+def test_an_allocation_refused_below_physical_memory_names_its_key_and_size(tmp_path, argv,
+                                                                             what, need):
+    # the estimate fits physical memory, so it passes the exit-2 check; the
+    # limit (ulimit -v) then refuses its first large array
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    margin = 16 * 2**20
+    assert margin < need
+    out = fresh_python(UNDER_AN_ADDRESS_SPACE_LIMIT, margin, "--out", tmp_path, "--seed", 1,
+                       *argv)
+    code, _, err = out.partition(" ")
+    assert code == "3", err
+    assert err.startswith(f"numerical error: out of memory in {argv[0]}: {what}, about "
+                          f"{need / 2**20:.0f} MiB at peak: "), err
 
 
 def test_synth_peak_larger_than_memory_is_config_error(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import gc
 import importlib
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import sqzsim
+from sqzsim import cli
 
 from conftest import fresh_python
 
@@ -82,6 +84,53 @@ def test_cli_keeps_a_blas_thread_count_the_user_set(tmp_path, monkeypatch):
     assert (code, blas) == ("0", "2")
 
 
+def test_the_cli_process_ends_with_the_collector_on_and_its_objects_frozen(tmp_path):
+    script = RUN_AS_MAIN + "import gc\nprint(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    assert fresh_python(script, tmp_path).split()[-2:] == ["True", "True"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_main_leaves_the_collector_as_it_finds_it(tmp_path, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert cli.main(["--out", str(tmp_path), "criteria"]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# `python -m sqzsim ARGV...`, through the entry and its collector policy
+RUN_MODULE = """
+import runpy, sys
+sys.argv = ["sqzsim"] + sys.argv[1:]
+runpy.run_module("sqzsim", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["criteria"], ["spectrum"], ["pulsed", "--example"], ["synth", "--n-samples", "4096"],
+    ["analyze", "{in}/timeseries_minus.sqts", "--shot", "{in}/timeseries_shot.sqts"],
+])
+def test_the_cli_process_writes_what_cli_main_writes(tmp_path, capsys, argv):
+    records = tmp_path / "in"
+    for mode in ("minus", "shot"):
+        assert cli.main(["--out", str(records), "--seed", "3", "synth", "--mode", mode,
+                         "--n-samples", "4096"]) == 0
+    argv = [a.replace("{in}", str(records)) for a in argv]
+    process, in_process = tmp_path / "process", tmp_path / "in_process"
+    capsys.readouterr()
+    assert cli.main(["--out", str(in_process), "--seed", "7", *argv]) == 0
+    printed = capsys.readouterr().out
+    assert fresh_python(RUN_MODULE, "--out", process, "--seed", 7, *argv) == printed.replace(
+        str(in_process), str(process))
+    names = sorted(p.name for p in in_process.iterdir())
+    assert names and names == sorted(p.name for p in process.iterdir())
+    for name in names:
+        assert (process / name).read_bytes() == (in_process / name).read_bytes(), name
+
+
 def test_importing_the_package_or_its_entry_point_leaves_the_environment_alone():
     script = """
 import os
@@ -120,3 +169,22 @@ def test_the_package_calls_no_blas_directly():
             if isinstance(op, ast.MatMult) or names & BLAS_NAMES:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_only_the_process_entry_touches_the_collector():
+    # the entry freezes the collector's objects because its process ends
+    # with its one command; pytest, the benchmark's in-process workers and
+    # any caller of cli.main or the library keep the collector as they set it
+    found = set()
+    for path in sorted((Path(sqzsim.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, "id", None)}
+            if isinstance(node, ast.alias):
+                names.add(node.name.split(".")[0])
+            if isinstance(node, ast.ImportFrom):
+                names.add(node.module)
+            if isinstance(node, ast.Constant):
+                names.add(node.value)
+            if "gc" in names:
+                found.add(path.name if path.name == "__main__.py" else f"{path.name}:{node.lineno}")
+    assert found == {"__main__.py"}, found
