@@ -81,17 +81,18 @@ def excess_noise(config: ClassicalNoiseConfig, f, mode: str) -> float | np.ndarr
     # the Lorentzian's denominator and the low-frequency term are each one
     # fresh array updated in place. Far from the centre the square overflows
     # to inf, and amp hw^2 / inf = 0 is the right value, so that overflow is
-    # not worth a warning
+    # not worth a warning; nor is the low-frequency term's, whose inf is its
+    # value, which the commands that need a finite one refuse by name
     with np.errstate(over="ignore"):
         lorentz = f - config.relax_center
         lorentz **= 2
         lorentz += hw**2
         num = amp * hw**2
         lorentz = num / lorentz
-    out = config.lf_knee / f
-    out **= config.lf_exponent
-    out *= config.lf_amp
-    out += lorentz
+        out = config.lf_knee / f
+        out **= config.lf_exponent
+        out *= config.lf_amp
+        out += lorentz
     return out
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .classical_noise import total_spectrum
-from .config import ConfigError, RunConfig, default_config, load_config
+from .config import ConfigError, RunConfig, _build_section, default_config, load_config
 from .detection import (
     effective_efficiency,
     observe,  # not called here: perfbench's traced CLI run probes it by this name
@@ -148,6 +148,23 @@ def _mode_spectra(cfg: RunConfig):
     return src, {m: observe_corrected(s, cfg.detection) for m, s in src.items()}
 
 
+def _model_values(src: dict, f) -> dict:
+    """Each mode's source spectrum at f. A value beyond the float range is a
+    ValueError naming the mode, the frequency and the low-frequency term, the
+    only one that can overflow: the relaxation Lorentzian falls to 0 and the
+    OPO term is clamped."""
+    values = {mode: spectrum(f) for mode, spectrum in src.items()}
+    for mode, v in values.items():
+        bad = ~np.isfinite(np.atleast_1d(v))
+        if bad.any():
+            raise ValueError(
+                f"the {mode} mode's model spectrum is {np.atleast_1d(v)[bad][0]} at "
+                f"{np.atleast_1d(f)[bad][0]:.6g} Hz: its low-frequency term noise.lf_amp "
+                "(noise.lf_knee / f)^noise.lf_exponent leaves the float range"
+            )
+    return values
+
+
 def _inseparability(spectra: dict, f):
     return duan_inseparability(
         ModeVariancePair(s_plus=spectra["plus"](f), s_minus=spectra["minus"](f))
@@ -177,18 +194,18 @@ def cmd_spectrum(cfg: RunConfig, args) -> None:
     with _peak_memory("--points" if args.points is not None else "analyzer.n_points",
                       f"a grid of {sweep.n_points} points",
                       SPECTRUM_PEAK_PER_POINT * sweep.n_points):
-        out = _out_dir(cfg)
         modes = ("plus", "minus") if args.mode == "both" else (args.mode,)
         freqs = sweep.freqs
 
         src, det = _mode_spectra(cfg)
+        values = _model_values(src, freqs)
 
+        out = _out_dir(cfg)
         written = [
             write_csv(
                 out / "spectrum_analytic.csv",
                 "freq_hz,s_plus,s_minus,s_plus_detected,s_minus_detected",
-                (freqs, src["plus"](freqs), src["minus"](freqs),
-                 det["plus"](freqs), det["minus"](freqs)),
+                (freqs, values["plus"], values["minus"], det["plus"](freqs), det["minus"](freqs)),
             )
         ]
 
@@ -233,14 +250,9 @@ def _pulsed_spectrum(cfg: RunConfig, args):
     if args.piecewise is not None:
         try:
             doc = json.loads(args.piecewise)
-            spec = PiecewiseSpectrum(
-                breakpoints=tuple(doc["breakpoints"]),
-                values=tuple(doc["values"]),
-                tail_value=doc["tail_value"],
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except json.JSONDecodeError as exc:
             raise ConfigError(f"key '--piecewise': {exc}") from exc
-        return spec, "piecewise (inline)"
+        return _build_section("--piecewise", PiecewiseSpectrum, doc), "piecewise (inline)"
     if args.example:
         return EXAMPLE_PIECEWISE, "example: shot-limited below 50 kHz, 3 dB squeezed above"
     mode = args.model or "minus"
@@ -396,6 +408,7 @@ def cmd_criteria(cfg: RunConfig, args) -> None:
     f0 = _finite_positive("--freq", args.freq, "frequency")
 
     src, det = _mode_spectra(cfg)
+    _model_values(src, f0)
     insep_det = _inseparability(det, f0)
     insep_src = _inseparability(src, f0)
 

@@ -69,15 +69,20 @@ def _build_section(name: str, cls, payload) -> object:
     for key, value in payload.items():
         if key not in fields:
             raise ConfigError(f"key '{name}.{key}': unknown parameter")
-        # every parameter is a number, and one declared int takes no float;
-        # bool is an int subclass but neither
+        # every parameter is a number, or a list of numbers where it is
+        # declared a tuple, and one declared int takes no float; bool is an
+        # int subclass but neither
         integer = fields[key].type in (int, "int")
-        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-            kind = "an integer" if integer else "a number"
-            raise ConfigError(f"key '{name}.{key}': expected {kind}, got {value!r}")
+        listed = fields[key].type in (tuple, "tuple")
+        if listed and not isinstance(value, list):
+            raise ConfigError(f"key '{name}.{key}': expected a list of numbers, got {value!r}")
+        for item in value if listed else [value]:
+            if isinstance(item, bool) or not isinstance(item, int if integer else (int, float)):
+                kind = "an integer" if integer else "a number"
+                raise ConfigError(f"key '{name}.{key}': expected {kind}, got {item!r}")
     try:
         return cls(**payload)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a parameter without default is missing
         raise ConfigError(f"key '{name}': {exc}") from exc
 
 

@@ -224,11 +224,6 @@ def _fourier_bins(spectrum, sample_rate: float, n_samples: int, seed: int) -> np
     return bins
 
 
-def _welch_nperseg(sample_rate: float, rbw: float) -> int:
-    """Smallest power of two whose bin spacing is at most rbw / 2."""
-    return 1 << int(np.ceil(np.log2(2.0 * sample_rate / rbw)))
-
-
 def welch_psd(ts: TimeSeries, rbw: float) -> TabulatedSpectrum:
     """Averaged periodogram of a series, tabulated as a one-sided PSD in 1/Hz.
 
@@ -242,12 +237,14 @@ def welch_psd(ts: TimeSeries, rbw: float) -> TabulatedSpectrum:
         raise ValueError(
             f"rbw must be positive and below twice the sample rate, got {rbw:.6g} Hz"
         )
-    nperseg = _welch_nperseg(ts.sample_rate, rbw)
-    n_min = int(np.ceil(1.5 * nperseg))
-    if len(ts) < n_min:
+    # the smallest power of two whose bin spacing is at most rbw / 2; inf
+    # where that is beyond the float range, as no record can hold it
+    log2 = np.ceil(np.log2(2.0 * ts.sample_rate / rbw))
+    nperseg = 1 << int(log2) if log2 < np.finfo(float).maxexp else np.inf
+    if len(ts) < 1.5 * nperseg:
         raise ValueError(
-            f"record of {len(ts)} samples is too short for rbw={rbw:.6g} Hz: "
-            f"need at least {n_min} samples (two 50%-overlapped segments of {nperseg})"
+            f"record of {len(ts)} samples is too short for rbw={rbw:.6g} Hz: need at least "
+            f"{1.5 * nperseg:.15g} samples (two 50%-overlapped segments of {nperseg:.15g})"
         )
     # nperseg is a power of two >= 2: the hop is half a segment, and the last
     # bin is Nyquist, which like DC has no negative-frequency twin

@@ -17,19 +17,22 @@ N/T). The near field u < N gets one panel per lobe [k, k+1]. Whole lobes
 take their nodes and weights from one table, built on first use: the
 Gauss-Legendre nodes of each lobe (the 16- and 8-point rules, written out)
 with sinc^2 there folded into the weights, exact to rounding because
-sin^2(pi (k + v)) = sin^2(pi v) keeps the sine's argument within pi/2. A
-lobe that a spectrum breakpoint falls inside is cut into generic panels
-between its sorted distinct edges: its ends and the breakpoints inside. The
+sin^2(pi (k + v)) = sin^2(pi v) keeps the sine's argument within pi/2. The
 far field u > N takes the lobe-averaged kernel 1/(2 pi^2 u^2) in w = N/u,
 where the integrand is S(x/w) / (2 pi^2 N) on (0, 1] (a node whose x/w is
-beyond the float range lies at +inf) and breakpoints beyond x are panel
-edges. A spectrum declares a handful of breakpoints, so their positions
-b T, the cut lobes' edges and the far-field edges are worked out in Python
-floats, not in numpy arrays of one to three elements. The lobe table is
-evaluated in chunks of at most 4096 nodes, then one spectrum call covers
-everything else: x, the breakpoints beyond it and the nodes of the other
-panels. Panels of both fields (16 nodes, checked against 8) share one table,
-in which the worst panel is bisected until the summed estimate meets the
+beyond the float range lies at +inf).
+
+Every other panel is generic, and the generic panels are one set: first the
+pieces of each lobe that a spectrum breakpoint falls inside, between its
+sorted distinct edges (side 0, in u), then the far field in eighths of w,
+with the breakpoints beyond x as further edges (side 1, in w). A spectrum
+declares a handful of breakpoints, so their positions b T and the panel
+edges are worked out in Python floats. The lobe table is evaluated in chunks
+of at most 4096 nodes; one spectrum call covers everything else (the
+far-field breakpoints, x and the nodes of the whole generic set), and the
+set's GL16 and GL8 sums are taken in one pass. One panel table holds the
+whole lobes, then the generic set, with a side column; its worst panel is
+bisected until the summed estimate (16 nodes, checked against 8) meets the
 relative tolerance: the panel with the largest error, a tie going to the
 lowest start, then end, value and side. Its row takes the left half in
 place, the right half is appended as a new row, and the running sums change
@@ -231,14 +234,15 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     x = _N_LOBES / t
     s = _checked(spectrum)
 
-    # near field in lobes u = nu T; far field in w = x / nu under the
-    # lobe-averaged kernel; both integrals are in units of T. Per field: the
-    # frequency at a node, and the integrand from the spectrum's value there
-    freq = (lambda u: u / t, lambda w: x / w)
-    integrand = (
-        lambda u, sv: sv * _sinc2(u),
-        lambda w, sv: sv / (2.0 * np.pi**2 * _N_LOBES),
-    )
+    # side 0 is the near field in lobes u = nu T, side 1 the far field in
+    # w = x / nu under the lobe-averaged kernel; both integrals are in units of
+    # T. Per side: the frequencies at nodes z, and the integrand from the
+    # spectrum's values sv there, in a new array: sv is never written
+    def nu(side, z):
+        return z / t if side == 0 else x / z
+
+    def integrand(side, z, sv):
+        return sv * _sinc2(z) if side == 0 else sv / (2.0 * np.pi**2 * _N_LOBES)
 
     # whole lobes come from the table; a lobe with a breakpoint inside is cut
     # there into generic panels, and breakpoints beyond x are far-field panel
@@ -264,23 +268,20 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
             edges = sorted(cut_edges[k])
             cut_a += edges[:-1]
             cut_b += edges[1:]
-    far_edges = _FAR_EDGES
+    far_edges = _FAR_EDGES.tolist()
     if far_at:
-        far_edges = np.array(sorted({*_FAR_EDGES.tolist(), *(_N_LOBES / u for u in far_at)}))
+        far_edges = sorted({*far_edges, *(_N_LOBES / u for u in far_at)})
+
+    # the generic panels as one set: the cut lobes' pieces (side 0), then the
+    # far field's (side 1), so the first m nodes are the cut lobes'
+    a, b = np.array(cut_a + far_edges[:-1]), np.array(cut_b + far_edges[1:])
+    half, z = _gl_nodes(a, b)
+    m, nf = len(cut_a) * _GL_SHIFTED.size, len(far_bp)
 
     # one spectrum call for everything outside the lobe table: the far-field
-    # breakpoints and the floats just below them, x, then the nodes of the
-    # cut-lobe and the far-field panels
-    cut_a, cut_b = np.array(cut_a), np.array(cut_b)
-    panels = [
-        (k, a, b, *_gl_nodes(a, b))
-        for k, a, b in ((0, cut_a, cut_b), (1, far_edges[:-1], far_edges[1:]))
-        if a.size
-    ]
-    nf = len(far_bp)
+    # breakpoints and the floats just below them, x, then the generic nodes
     sv = s(np.concatenate((
-        far_bp + [math.nextafter(b, 0.0) for b in far_bp] + [x],
-        *(freq[k](z) for k, *_, z in panels),
+        far_bp + [math.nextafter(b, 0.0) for b in far_bp] + [x], nu(0, z[:m]), nu(1, z[m:])
     )))
 
     # what the lobe average drops, beyond reach of refinement: the next term
@@ -292,34 +293,37 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
         sv[2 * nf] / (4.0 * np.pi**4 * _N_LOBES**3)
         + np.sum(jumps / [4.0 * np.pi**3 * u for u in far_at] / far_at)
     )
+    sv = sv[2 * nf + 1 :]
+    generic_fine, generic_err = _gl_sums(
+        half, np.concatenate((integrand(0, z[:m], sv[:m]), integrand(1, z[m:], sv[m:])))
+    )
 
-    # panel table (side, start, end, GL16 value, |GL16 - GL8| error): a
-    # refinement overwrites the panel it bisects with the left half and
-    # appends the right half, so the table has room for _MAX_REFINEMENTS more
+    # panel table (side, start, end, GL16 value, |GL16 - GL8| error): the
+    # whole lobes, then the generic panels. A refinement overwrites the panel
+    # it bisects with the left half and appends the right half, so the table
+    # has room for _MAX_REFINEMENTS more
     fine, err = _lobe_panels(s, t)
-    initial = [(0, lobes, lobes + 1.0, fine[whole], err[whole])]
-    at = 2 * nf + 1
-    for k, a, b, half, z in panels:
-        initial.append((k, a, b, *_gl_sums(half, integrand[k](z, sv[at : at + z.size]))))
-        at += z.size
-    cap = sum(p[1].size for p in initial) + _MAX_REFINEMENTS
-    side = np.empty(cap, dtype=np.int8)
-    start, end, value, error = (np.empty(cap) for _ in range(4))
+    n_near, n = lobes.size + len(cut_a), lobes.size + a.size
+    side = np.empty(n + _MAX_REFINEMENTS, dtype=np.int8)
+    side[:n_near], side[n_near:n] = 0, 1
+    start, end, value, error = (np.empty(side.size) for _ in range(4))
+    np.concatenate((lobes, a), out=start[:n])
+    np.concatenate((lobes + 1.0, b), out=end[:n])
+    np.concatenate((fine[whole], generic_fine), out=value[:n])
+    np.concatenate((err[whole], generic_err), out=error[:n])
 
-    # running sums, started from the per-set sums, drive the convergence
-    # test; the reproducible ordered sum happens at the end
-    value_sum = err_sum = 0.0
-    n = 0
-    for k, a, b, fine, err in initial:
-        sl = slice(n, n + fine.size)
-        side[sl], start[sl], end[sl], value[sl], error[sl] = k, a, b, fine, err
-        n += fine.size
-        value_sum += float(np.sum(fine))
-        err_sum += float(np.sum(err))
-    err_sum += averaging_err
+    # running sums drive the convergence test: the sums of the whole lobes,
+    # the cut panels and the far field, added in that order (one sum over all
+    # generic panels could round apart and move the stop); the reproducible
+    # ordered sum comes at the end
+    def running(col):
+        nw = lobes.size
+        return float(col[:nw].sum()) + float(col[nw:n_near].sum()) + float(col[n_near:n].sum())
+
+    value_sum, err_sum = running(value), running(error) + averaging_err
 
     while err_sum > _REL_TOL * abs(value_sum) and abs(value_sum) != 0.0:
-        if n == cap:
+        if n == side.size:
             near = float(np.sum(error[:n][side[:n] == 0]))
             sources = {
                 "near field": near,
@@ -348,7 +352,7 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
         mid = 0.5 * (a + b)
         half_a, half_b = 0.5 * (mid - a), 0.5 * (b - mid)
         z = np.concatenate((a + half_a * _GL_SHIFTED, mid + half_b * _GL_SHIFTED))
-        product = integrand[k](z, s(freq[k](z))).reshape(2, -1) * _GL_WEIGHTS
+        product = integrand(k, z, s(nu(k, z))).reshape(2, -1) * _GL_WEIGHTS
         fine_a, fine_b = product[:, :_N_FINE].sum(axis=1).tolist()
         coarse_a, coarse_b = product[:, _N_FINE:].sum(axis=1).tolist()
         fine_a, fine_b = half_a * fine_a, half_b * fine_b

@@ -86,8 +86,8 @@ def ref_excess_noise(config, f, mode):
     hw = 0.5 * config.relax_fwhm
     with np.errstate(over="ignore"):
         lorentz = amp * hw**2 / ((f - config.relax_center) ** 2 + hw**2)
-    lowfreq = config.lf_amp * (config.lf_knee / f) ** config.lf_exponent
-    return lorentz + lowfreq
+        lowfreq = config.lf_amp * (config.lf_knee / f) ** config.lf_exponent
+        return lorentz + lowfreq
 
 
 def ref_total_spectrum(params, config, mode):

@@ -37,6 +37,15 @@ def test_far_from_peak_and_knee_is_negligible():
     assert excess_noise(DEFAULTS, 20e6, "minus") < 1e-3 * DEFAULTS.relax_amp_minus
 
 
+def test_low_frequency_term_beyond_the_float_range_is_inf_without_a_warning():
+    # warnings are errors under pytest: (lf_knee / f)^lf_exponent overflows
+    # quietly, at a tiny f or a huge knee, as the Lorentzian's far side does
+    f = np.array([5e-324, 1e-200, 1e3])
+    assert excess_noise(DEFAULTS, f, "minus").tolist()[:2] == [math.inf, math.inf]
+    huge_knee = dataclasses.replace(DEFAULTS, lf_knee=1e300)
+    assert excess_noise(huge_knee, 3.5e6, "plus") == math.inf
+
+
 def test_nonnegative_everywhere():
     f = np.logspace(2, 8, 2001)
     for mode in ("plus", "minus"):

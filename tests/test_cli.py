@@ -218,6 +218,19 @@ def test_pulsed_refuses_a_variance_beyond_the_float_range(tmp_path, capsys, leve
     assert not (tmp_path / "pulsed_report.json").exists()
 
 
+@pytest.mark.parametrize("inline, field", [
+    ('{"breakpoints":["5e4"],"values":[true],"tail_value":"0.5","extra":1}', "breakpoints"),
+    ('{"breakpoints": [5e4], "values": [true], "tail_value": 0.5}', "values"),
+    ('{"breakpoints": [5e4], "values": [1.0], "tail_value": "0.5"}', "tail_value"),
+    ('{"breakpoints": [5e4], "values": [1.0], "tail_value": 0.5, "extra": 1}', "extra"),
+    ('{"breakpoints": 5e4, "values": [1.0], "tail_value": 0.5}', "breakpoints"),
+])
+def test_pulsed_piecewise_is_checked_like_a_config_section(tmp_path, capsys, inline, field):
+    assert run("--out", tmp_path, "pulsed", "--piecewise", inline) == 2
+    assert f"configuration error: key '--piecewise.{field}': " in capsys.readouterr().err
+    assert not (tmp_path / "pulsed_report.json").exists()
+
+
 def test_pulsed_conflicting_sources(tmp_path):
     assert run("--out", tmp_path, "pulsed", "--flat", 1.0, "--example") == 2
 
@@ -443,6 +456,18 @@ def test_analyze_corrupt_magic_exits_4(tmp_path, capsys):
     assert "offset 0" in capsys.readouterr().err
 
 
+# at fs = 25 MHz, 2 fs / rbw overflows; it does not, but its power of two does
+@pytest.mark.parametrize("rbw", ["5e-324", "5e-301"])
+def test_analyze_with_a_tiny_rbw_names_the_short_record(tmp_path, capsys, rbw):
+    assert run("--out", tmp_path, "synth", "--n-samples", 1024) == 0
+    assert run("--out", tmp_path, "analyze", tmp_path / "timeseries_minus.sqts", "--rbw", rbw) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"numerical error: record of 1024 samples is too short for rbw={float(rbw):.6g} Hz: "
+    )
+    assert not (tmp_path / "trace_analyzed.csv").exists()
+
+
 def test_analyze_missing_file_exits_4(tmp_path):
     assert run("--out", tmp_path, "analyze", tmp_path / "missing.sqts") == 4
 
@@ -611,14 +636,50 @@ def test_out_dir_of_the_wrong_type_is_a_config_error(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("command", [["criteria"], ["spectrum", "--points", 50],
                                      ["synth", "--n-samples", 1024]])
-def test_a_warning_raised_as_an_error_is_a_numerical_error(tmp_path, capsys, command):
-    # (lf_knee / f)^2 overflows; under python -W error numpy raises the warning
+def test_a_warning_raised_as_an_error_is_a_numerical_error(tmp_path, capsys, monkeypatch,
+                                                            command):
+    # a model whose evaluation overflows; under python -W error numpy raises
+    # the warning
+    def overflowing(cfg):
+        return np.exp(np.array([1e3]))
+
+    monkeypatch.setattr(cli, "_mode_spectra", overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("--seed", 1, "--out", tmp_path / "out", *command) == 3
+    assert "numerical error: overflow encountered in exp" in capsys.readouterr().err
+
+
+# (lf_knee / f)^lf_exponent leaves the float range at a tiny f or a huge knee
+@pytest.mark.parametrize("noise, argv, at", [
+    ({}, ["criteria", "--freq", "5e-324"], "4.94066e-324"),
+    ({}, ["spectrum", "--start", "1e-300", "--stop", "1e-299", "--points", "4"], "1e-300"),
+    ({"lf_knee": 1e300}, ["criteria"], "3.5e+06"),
+    ({"lf_knee": 1e300}, ["spectrum", "--start", "1e5", "--points", "50"], "100000"),
+])
+def test_a_model_value_beyond_the_float_range_names_its_term(tmp_path, capsys, noise, argv, at):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"noise": noise}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("--config", path, "--out", tmp_path / "out", *argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"numerical error: the plus mode's model spectrum is inf at {at} Hz: its low-frequency "
+        "term noise.lf_amp (noise.lf_knee / f)^noise.lf_exponent leaves the float range\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_clamped_model_below_a_huge_knee_is_shot_noise(tmp_path, capsys):
     path = tmp_path / "knee.json"
     path.write_text(json.dumps({"noise": {"lf_knee": 1e300}}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run("--config", path, "--seed", 1, "--out", tmp_path / "out", *command) == 3
-    assert "numerical error: overflow encountered in " in capsys.readouterr().err
+        assert run("--config", path, "--out", tmp_path, "pulsed", "--model", "minus",
+                   "--assume-feedback") == 0
+    assert "improvement factor  : 1.000000\n" in capsys.readouterr().out
 
 
 def test_criteria_at_a_huge_frequency_warns_nothing(tmp_path, capsys):

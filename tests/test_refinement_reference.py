@@ -287,6 +287,35 @@ def test_bisections_of_cut_and_far_panels_match_the_reference(lobes_at, peak_at,
     assert_same_outcome(_PeakInACutLobe(t, lobes_at, peak_at, width), PulsedWindow(t))
 
 
+class _ReadOnly:
+    """The inner spectrum with every result marked read-only."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):  # breakpoints
+        return getattr(self.inner, name)
+
+    def __call__(self, f):
+        out = self.inner(f)
+        out.flags.writeable = False
+        return out
+
+
+def test_the_engine_never_writes_a_spectrum_result():
+    # a peak in a cut lobe, bisected, and a far-field breakpoint: the one
+    # spectrum call serves both sides of the generic panels, and bisections
+    # call it again
+    t = 1e-6
+    spectrum = _PeakInACutLobe(t, 0.3137, 0.2, 0.01)
+    spectrum.breakpoints += (1234.567 / t,)
+    want, want_calls = outcome(pulsed_variance_with_error, spectrum, PulsedWindow(t))
+    got, got_calls = outcome(pulsed_variance_with_error, _ReadOnly(spectrum), PulsedWindow(t))
+    assert isinstance(got[0], str) and got == want
+    assert got_calls == want_calls
+    assert len(got_calls) > 7  # the 6 lobe-table chunks, the one call, bisections
+
+
 _EDGES = st.lists(st.sampled_from([0.0, 1e-300, 0.125, 1.0, 5e4, 1e9]), max_size=12)
 
 
