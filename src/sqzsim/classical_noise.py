@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .opo import OpoParams, squeezed_variance
-from .spectra import Spectrum, elementwise
+from .spectra import Spectrum, elementwise, in_domain
 
 __all__ = ["ClassicalNoiseConfig", "excess_noise", "total_spectrum", "MODES"]
 
@@ -40,23 +40,19 @@ class ClassicalNoiseConfig:
     lf_amp: float = 0.75
 
     def __post_init__(self):
-        # every comparison with NaN is false, so NaN fails each check
         for name in ("relax_amp_plus", "relax_amp_minus", "lf_amp"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+            in_domain(name, getattr(self, name), "[0, inf)")
         for name in ("relax_center", "relax_fwhm", "lf_knee"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        if not -np.inf < self.lf_exponent < np.inf:
-            raise ValueError(f"lf_exponent must be finite, got {self.lf_exponent}")
+            in_domain(name, getattr(self, name), "(0, inf)")
+        in_domain("lf_exponent", self.lf_exponent, "(-inf, inf)")
         # excess_noise forms amp * hw^2 in Python floats: hw^2 raises
         # OverflowError from hw ~ 1.34e154, and amp * hw^2 turns inf
         amp = max(1.0, self.relax_amp_plus, self.relax_amp_minus)
         widest = 2 * math.sqrt(sys.float_info.max / amp)
         if not (self.relax_fwhm < widest and amp * (0.5 * self.relax_fwhm) ** 2 < np.inf):
             raise ValueError(
-                f"relax_fwhm must be finite and below {widest:.3g}, where relax_amp "
-                f"(relax_fwhm/2)^2 overflows, got {self.relax_fwhm}"
+                f"relax_fwhm must be below {widest:.3g}, where max(1, relax_amp_plus, "
+                f"relax_amp_minus) (relax_fwhm/2)^2 overflows, got {self.relax_fwhm}"
             )
 
     @classmethod
@@ -82,13 +78,18 @@ def excess_noise(config: ClassicalNoiseConfig, f, mode: str) -> float | np.ndarr
     # fresh array updated in place. Far from the centre the square overflows
     # to inf, and amp hw^2 / inf = 0 is the right value, so that overflow is
     # not worth a warning; nor is the low-frequency term's, whose inf is its
-    # value, which the commands that need a finite one refuse by name
-    with np.errstate(over="ignore"):
+    # value, which the commands that need a finite one refuse by name (a
+    # negative exponent takes the term at f = inf to 0^-p = inf by a divide)
+    with np.errstate(over="ignore", divide="ignore"):
         lorentz = f - config.relax_center
         lorentz **= 2
         lorentz += hw**2
         num = amp * hw**2
         lorentz = num / lorentz
+        if config.lf_amp == 0:
+            # switched off: 0 x an overflowing power law would be NaN, and
+            # lorentz + 0.0 is lorentz
+            return lorentz
         out = config.lf_knee / f
         out **= config.lf_exponent
         out *= config.lf_amp

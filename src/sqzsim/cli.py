@@ -55,7 +55,7 @@ from .pulsed import (
     pulsed_variance_with_error,
 )
 from .quantum import ModeVariancePair, duan_inseparability, obeys_uncertainty
-from .spectra import Spectrum
+from .spectra import Spectrum, in_domain
 
 # peak memory of `synth` in record sizes (8 bytes per sample), above the
 # import baseline; measured with numpy 2.4 on Linux x86-64: 4.2x (165 MB peak
@@ -90,9 +90,10 @@ EXAMPLE_REFERENCE_FACTOR = 1.7
 
 def _finite_positive(flag: str, value: float, what: str) -> float:
     """The value of a float flag, or a ConfigError naming the flag."""
-    if not 0 < value < math.inf:
-        raise ConfigError(f"key '{flag}': {what} must be finite and positive, got {value}")
-    return value
+    try:
+        return in_domain(what, value, "(0, inf)")
+    except ValueError as exc:
+        raise ConfigError(f"key '{flag}': {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -244,6 +245,9 @@ def _pulsed_spectrum(cfg: RunConfig, args):
     ]
     if len(chosen) > 1:
         raise ConfigError(f"choose one spectrum source, got {' and '.join(chosen)}")
+    if args.assume_feedback and chosen not in ([], ["--model"]):
+        raise ConfigError(f"key '--assume-feedback': it clamps the model spectrum only "
+                          f"and cannot go with {chosen[0]}")
     if args.flat is not None:
         _finite_positive("--flat", args.flat, "level")
         return Spectrum.flat(args.flat), f"flat {args.flat:g}"
@@ -351,6 +355,13 @@ def cmd_synth(cfg: RunConfig, args) -> None:
             f"key '--n-samples': must be a power of two >= 2, got {given:.17g}"
         )
     _finite_positive("--sample-rate", args.sample_rate, "sample rate")
+    if args.mode != "shot":
+        # the low-frequency term is monotone in f and the others are bounded,
+        # so a model value beyond the float range shows at the band's ends,
+        # taken as synthesize takes them
+        df = 1.0 / (n * (1.0 / args.sample_rate))
+        _model_values({args.mode: total_spectrum(cfg.opo, cfg.noise, args.mode)},
+                      np.array([df, n // 2 * df]))
     record = 8 * n
     with _peak_memory("--n-samples", f"a record of {n} samples ({record} bytes)",
                       SYNTH_PEAK_PER_RECORD * record):
@@ -512,9 +523,7 @@ def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else default_config()
     updates = {}
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError(f"key 'seed': must fit in u64, got {args.seed}")
-        updates["seed"] = args.seed
+        updates["seed"] = args.seed  # RunConfig checks its range
     if args.out is not None:
         updates["out_dir"] = args.out
     return dataclasses.replace(cfg, **updates) if updates else cfg

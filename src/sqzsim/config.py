@@ -40,14 +40,16 @@ class RunConfig:
     seed: int | None = 1064
     out_dir: str = "."
 
+    def __post_init__(self):
+        if self.seed is not None and not 0 <= self.seed < 2**64:
+            raise ConfigError(f"key 'seed': must fit in u64, got {self.seed}")
+
     def require_seed(self) -> int:
         if self.seed is None:
             raise ConfigError(
                 "key 'seed': a seed is required for stochastic commands "
                 "(set it in the config or pass --seed)"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"key 'seed': must fit in u64, got {self.seed}")
         return int(self.seed)
 
 

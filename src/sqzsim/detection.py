@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import Spectrum, elementwise
+from .spectra import Spectrum, elementwise, in_domain
 
 __all__ = [
     "DetectionParams",
@@ -43,16 +43,9 @@ class DetectionParams:
     dark_noise_db: float = -6.0
 
     def __post_init__(self):
-        if not 0.0 < self.quantum_efficiency <= 1.0:
-            raise ValueError(
-                f"quantum_efficiency must lie in (0, 1], got {self.quantum_efficiency}"
-            )
-        if not 0.0 < self.visibility <= 1.0:
-            raise ValueError(f"visibility must lie in (0, 1], got {self.visibility}")
-        if not self.dark_noise_db < 0:
-            raise ValueError(
-                f"dark_noise_db must be negative (dB below shot), got {self.dark_noise_db}"
-            )
+        in_domain("quantum_efficiency", self.quantum_efficiency, "(0, 1]")
+        in_domain("visibility", self.visibility, "(0, 1]")
+        in_domain("dark_noise_db", self.dark_noise_db, "[-inf, 0)")  # dB below shot
 
     @property
     def dark_linear(self) -> float:

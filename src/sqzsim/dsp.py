@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import to_db
-from .spectra import Spectrum, TabulatedSpectrum
+from .spectra import Spectrum, TabulatedSpectrum, in_domain
 
 __all__ = [
     "SHOT_NOISE_VARIANCE",
@@ -72,8 +72,7 @@ class TimeSeries:
     seed: int
 
     def __post_init__(self):
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
+        in_domain("sample_rate", self.sample_rate, "(0, inf]")
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-d array")
@@ -117,12 +116,13 @@ class SweepConfig:
     vbw: float = 300.0
 
     def __post_init__(self):
-        if not 0 < self.start < self.stop < np.inf:
-            raise ValueError("need 0 < start < stop, both finite")
-        if self.n_points < 2:
-            raise ValueError("n_points must be at least 2")
-        if not (np.inf > self.rbw >= self.vbw > 0):
-            raise ValueError("need rbw >= vbw > 0, both finite")
+        for name in ("start", "stop", "rbw", "vbw"):
+            in_domain(name, getattr(self, name), "(0, inf)")
+        in_domain("n_points", self.n_points, "[2, inf)")
+        if not self.start < self.stop:
+            raise ValueError(f"start must lie below stop, got {self.start!r} and {self.stop!r}")
+        if not self.vbw <= self.rbw:
+            raise ValueError(f"vbw must not exceed rbw, got {self.vbw!r} and {self.rbw!r}")
 
     @property
     def freqs(self) -> np.ndarray:
@@ -151,8 +151,7 @@ def synthesize(spectrum, sample_rate: float, n_samples: int, seed: int) -> TimeS
     array by a real scalar by multiplying with its reciprocal, so records
     keep their bytes.
     """
-    if not sample_rate > 0:
-        raise ValueError("sample_rate must be positive")
+    in_domain("sample_rate", sample_rate, "(0, inf]")
     n_samples = int(n_samples)
     if n_samples < 2 or n_samples & (n_samples - 1):
         raise ValueError(f"n_samples must be a power of two >= 2, got {n_samples}")
@@ -266,10 +265,15 @@ def rbw_convolve(spectrum, freqs, rbw: float) -> np.ndarray:
     """Convolve a spectrum with the Gaussian resolution kernel (FWHM = rbw).
 
     The kernel is discretized on a fixed +-4 sigma grid; offsets that fall
-    at or below zero frequency are dropped and the weights renormalized.
+    at or below zero frequency are dropped and the weights renormalized. A
+    sum beyond the float range is inf, without a warning, for the caller to
+    refuse.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     sigma = rbw / _FWHM
+    if not 2 * _KERNEL_HALF_WIDTH_SIGMAS * float(sigma) < np.inf:
+        raise ValueError(f"rbw = {rbw:.6g} Hz is too wide: the RBW kernel's span of "
+                         f"{2 * _KERNEL_HALF_WIDTH_SIGMAS:g} sigma overflows")
     offsets = np.linspace(
         -_KERNEL_HALF_WIDTH_SIGMAS * sigma,
         _KERNEL_HALF_WIDTH_SIGMAS * sigma,
@@ -281,7 +285,8 @@ def rbw_convolve(spectrum, freqs, rbw: float) -> np.ndarray:
     values = np.zeros_like(grid)
     values[valid] = np.asarray(spectrum(grid[valid]), dtype=float)
     w = np.where(valid, weights[None, :], 0.0)
-    return (values * w).sum(axis=1) / w.sum(axis=1)
+    with np.errstate(over="ignore"):
+        return (values * w).sum(axis=1) / w.sum(axis=1)
 
 
 def emulate_sweep(spectrum, cfg: SweepConfig, seed: int) -> Trace:
@@ -295,7 +300,13 @@ def emulate_sweep(spectrum, cfg: SweepConfig, seed: int) -> Trace:
     if np.any(target <= 0):
         f_bad = float(cfg.freqs[target <= 0][0])
         raise ValueError(f"convolved spectrum is not positive at {f_bad:.6g} Hz")
-    n_avg = max(1, round(cfg.rbw / (2.0 * cfg.vbw)))
+    if not np.isfinite(target).all():
+        f_bad = float(cfg.freqs[~np.isfinite(target)][0])
+        raise ValueError(f"convolved spectrum is not finite at {f_bad:.6g} Hz")
+    looks = cfg.rbw / (2.0 * cfg.vbw)
+    if not looks < np.inf:
+        raise ValueError(f"vbw = {cfg.vbw:.6g} Hz is too narrow: rbw / (2 vbw) looks overflow")
+    n_avg = max(1, round(looks))
     rng = np.random.default_rng(seed)
     drawn = rng.gamma(shape=float(n_avg), scale=target / n_avg)
     return Trace(

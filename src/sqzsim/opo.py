@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import elementwise
+from .spectra import elementwise, in_domain
 
 __all__ = [
     "AboveThresholdError",
@@ -51,14 +51,9 @@ class OpoParams:
             raise AboveThresholdError(
                 f"pump_ratio must be < 1 below threshold, got {self.pump_ratio}"
             )
-        if not 0.0 <= self.pump_ratio < 1.0:
-            raise ValueError(f"pump_ratio must lie in [0, 1), got {self.pump_ratio}")
-        if not self.cavity_hwhm > 0:
-            raise ValueError(f"cavity_hwhm must be positive, got {self.cavity_hwhm}")
-        if not 0.0 < self.escape_efficiency <= 1.0:
-            raise ValueError(
-                f"escape_efficiency must lie in (0, 1], got {self.escape_efficiency}"
-            )
+        in_domain("pump_ratio", self.pump_ratio, "[0, 1)")
+        in_domain("cavity_hwhm", self.cavity_hwhm, "(0, inf]")
+        in_domain("escape_efficiency", self.escape_efficiency, "(0, 1]")
 
 
 # sideband frequencies are clamped to this many cavity half-widths

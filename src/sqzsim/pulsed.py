@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import Spectrum, elementwise
+from .spectra import Spectrum, elementwise, in_domain
 
 __all__ = [
     "PulsedWindow",
@@ -81,8 +81,7 @@ class PulsedWindow:
     duration: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.duration) and self.duration > 0):
-            raise ValueError(f"window duration must be finite and positive, got {self.duration}")
+        in_domain("duration", self.duration, "(0, inf)")
         if not np.isfinite(_N_LOBES / self.duration):
             raise ValueError(
                 f"window duration {self.duration} s is too short: the near field "

@@ -41,6 +41,20 @@ def elementwise(fn):
     return call
 
 
+def in_domain(name: str, value, domain: str):
+    """value, if it lies in domain; else a ValueError naming name.
+
+    domain is an interval as the message prints it: "[0, 1)", "(0, inf]",
+    "[-inf, 0)". A square bracket takes its end in, a round one leaves it
+    out, and NaN lies in no interval.
+    """
+    lo, hi = map(float, domain[1:-1].split(","))
+    if not ((lo <= value if domain[0] == "[" else lo < value)
+            and (value <= hi if domain[-1] == "]" else value < hi)):
+        raise ValueError(f"{name} must lie in {domain}, got {value!r}")
+    return value
+
+
 class Spectrum:
     """Wraps a vectorized frequency -> variance function and labels it.
 

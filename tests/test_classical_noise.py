@@ -75,11 +75,24 @@ def test_config_validation():
     for config in (DEFAULTS, ClassicalNoiseConfig.zero()):
         widest = 2 * math.sqrt(sys.float_info.max / max(1.0, config.relax_amp("minus")))
         for fwhm in (widest, 1e200, 10**400):
-            with pytest.raises(ValueError, match="relax_fwhm must be finite and below"):
+            with pytest.raises(ValueError, match="relax_fwhm must be below"):
                 dataclasses.replace(config, relax_fwhm=fwhm)
         config = dataclasses.replace(config, relax_fwhm=math.nextafter(widest, 0))
         for mode in ("plus", "minus"):
             assert np.isfinite(excess_noise(config, [1e3, 1e6, 1e300], mode)).all()
+
+
+def test_a_switched_off_low_frequency_term_adds_nothing():
+    # the power law overflows below about 1e146 Hz, and 0 x inf would be NaN
+    # with a warning; the Lorentzian alone keeps its bits
+    config = ClassicalNoiseConfig(lf_knee=1e300, lf_amp=0.0)
+    f = np.array([5e-324, 1e-10, 1.0, 1e6, 1e140, 1e150])
+    hw = 0.5 * config.relax_fwhm
+    for mode in ("plus", "minus"):
+        lorentz = config.relax_amp(mode) * hw**2 / ((f - config.relax_center) ** 2 + hw**2)
+        got = excess_noise(config, f, mode)
+        assert got.tobytes() == lorentz.tobytes()
+        assert excess_noise(config, 1e-10, mode) == lorentz[1]
 
 
 def test_total_is_additive():

@@ -235,6 +235,18 @@ def test_pulsed_conflicting_sources(tmp_path):
     assert run("--out", tmp_path, "pulsed", "--flat", 1.0, "--example") == 2
 
 
+@pytest.mark.parametrize("source", [["--example"], ["--flat", 2],
+                                    ["--piecewise", '{"breakpoints": [5e4], "values": [1.0], '
+                                                    '"tail_value": 0.5}']])
+def test_pulsed_feedback_clamp_outside_the_model_is_a_config_error(tmp_path, capsys, source):
+    # the clamp acts on the model spectrum only; the report would claim it
+    assert run("--out", tmp_path, "pulsed", *source, "--assume-feedback") == 2
+    assert capsys.readouterr().err == (
+        "configuration error: key '--assume-feedback': it clamps the model spectrum only "
+        f"and cannot go with {source[0]}\n")
+    assert not (tmp_path / "pulsed_report.json").exists()
+
+
 def test_synth_analyze_round_trip(tmp_path):
     out = tmp_path / "out"
     assert run("--out", out, "--seed", 11, "synth", "--mode", "shot",
@@ -587,7 +599,7 @@ def test_float_options_that_are_not_finite_are_config_errors(tmp_path, capsys, m
     monkeypatch.setattr(cli, "synthesize", _must_not_run)
     assert run(*argv, f"{flag}={value}") == 2
     err = capsys.readouterr().err
-    assert f"'{flag}'" in err and "finite" in err
+    assert f"key '{flag}': " in err and f"must lie in (0, inf), got {value}" in err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -605,7 +617,7 @@ def test_noise_values_out_of_domain_are_config_errors(tmp_path, capsys, field, v
     path.write_text(json.dumps({"noise": {field: value}}))
     assert run("--config", path, "--out", tmp_path, "pulsed", "--model", "minus",
                "--assume-feedback") == 2
-    assert f"key 'noise': {field} must be finite" in capsys.readouterr().err
+    assert f"key 'noise': {field} must " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -656,6 +668,10 @@ def test_a_warning_raised_as_an_error_is_a_numerical_error(tmp_path, capsys, mon
     ({}, ["spectrum", "--start", "1e-300", "--stop", "1e-299", "--points", "4"], "1e-300"),
     ({"lf_knee": 1e300}, ["criteria"], "3.5e+06"),
     ({"lf_knee": 1e300}, ["spectrum", "--start", "1e5", "--points", "50"], "100000"),
+    # synth checks its band's ends, fs/n and, for a negative exponent, fs/2,
+    # before it allocates the record
+    ({"lf_knee": 1e300}, ["synth", "--mode", "plus", "--n-samples", "1024"], "24414.1"),
+    ({"lf_exponent": -200}, ["synth", "--mode", "plus", "--n-samples", "1024"], "1.25e+07"),
 ])
 def test_a_model_value_beyond_the_float_range_names_its_term(tmp_path, capsys, noise, argv, at):
     path = tmp_path / "cfg.json"
@@ -670,6 +686,25 @@ def test_a_model_value_beyond_the_float_range_names_its_term(tmp_path, capsys, n
         "term noise.lf_amp (noise.lf_knee / f)^noise.lf_exponent leaves the float range\n"
     )
     assert not (tmp_path / "out").exists()
+
+
+def test_synth_of_the_shot_reference_skips_the_model(tmp_path):
+    path = tmp_path / "knee.json"
+    path.write_text(json.dumps({"noise": {"lf_knee": 1e300}}))
+    assert run("--config", path, "--out", tmp_path, "synth", "--mode", "shot",
+               "--n-samples", 1024) == 0
+    assert run("--config", path, "--out", tmp_path, "synth", "--n-samples", 1024) == 3
+
+
+def test_a_switched_off_low_frequency_term_is_not_nan(tmp_path, capsys):
+    # 0 x the overflowing power law was NaN, with a warning, and exit 3
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps({"noise": {"lf_knee": 1e300, "lf_amp": 0}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("--config", path, "--out", tmp_path, "criteria") == 0
+        assert run("--config", path, "--out", tmp_path, "synth", "--n-samples", 1024) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_clamped_model_below_a_huge_knee_is_shot_noise(tmp_path, capsys):

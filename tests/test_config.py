@@ -50,6 +50,13 @@ def test_bad_seed_type():
             config_from_dict({"seed": seed})
 
 
+def test_seed_outside_u64_is_refused_when_loaded():
+    # not only by the commands that draw from it
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match=f"key 'seed': must fit in u64, got {seed}"):
+            config_from_dict({"seed": seed})
+
+
 def test_missing_seed_blocks_stochastic_commands():
     cfg = config_from_dict({"seed": None})
     with pytest.raises(ConfigError, match="seed"):

@@ -328,6 +328,21 @@ def test_sweep_of_a_negative_spectrum_names_the_first_frequency():
         emulate_sweep(spec, cfg, seed=3)
 
 
+def test_sweep_refuses_values_beyond_the_float_range_without_a_warning():
+    # warnings are errors here, so each must be a ValueError and nothing else
+    cfg = SweepConfig(start=1e5, stop=2e5, n_points=11, rbw=1e3, vbw=100.0)
+    huge = Spectrum(lambda f: np.where(f < 1.55e5, 1.0, 1e308))
+    with pytest.raises(ValueError, match="convolved spectrum is not finite at 160000 Hz"):
+        emulate_sweep(huge, cfg, seed=3)
+    # the kernel spans 8 sigma = 8 rbw / 2.355, and rbw / (2 vbw) looks
+    wide = SweepConfig(start=1e5, stop=2e5, n_points=11, rbw=1e308, vbw=100.0)
+    with pytest.raises(ValueError, match="rbw = 1e[+]308 Hz is too wide"):
+        emulate_sweep(Spectrum.flat(1.0), wide, seed=3)
+    narrow = SweepConfig(start=1e5, stop=2e5, n_points=11, rbw=1e3, vbw=5e-324)
+    with pytest.raises(ValueError, match="vbw = 4.94066e-324 Hz is too narrow"):
+        emulate_sweep(Spectrum.flat(1.0), narrow, seed=3)
+
+
 def test_sweep_determinism_and_validation():
     cfg = SweepConfig(start=1e5, stop=2e5, n_points=50, rbw=1e4, vbw=100.0)
     t1 = emulate_sweep(Spectrum.flat(1.0), cfg, seed=4)

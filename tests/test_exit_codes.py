@@ -1,0 +1,153 @@
+"""The exit-code contract of the command line, run in-process over every
+config key and float flag.
+
+Each value is drawn from the special floats (NaN, +-inf, +-0, negatives, the
+smallest subnormal, 1e308) and the defaults. Whatever it is, the command
+exits 0, 2, 3 or 4 with no traceback and no warning; a config value outside
+its field's domain exits 2 naming its section and field, and a float flag
+outside (0, inf) exits 2 naming the flag. Sizes stay small: 1024-sample
+records and 8-point grids.
+"""
+
+import contextlib
+import io
+import json
+import math
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqzsim import cli
+from sqzsim.config import default_config
+from sqzsim.spectra import in_domain
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# every config field and its domain, as the parameter classes check it
+DOMAINS = {
+    ("opo", "pump_ratio"): "[0, 1)",
+    ("opo", "cavity_hwhm"): "(0, inf]",
+    ("opo", "escape_efficiency"): "(0, 1]",
+    ("noise", "relax_center"): "(0, inf)",
+    ("noise", "relax_fwhm"): "(0, inf)",
+    ("noise", "relax_amp_plus"): "[0, inf)",
+    ("noise", "relax_amp_minus"): "[0, inf)",
+    ("noise", "lf_knee"): "(0, inf)",
+    ("noise", "lf_exponent"): "(-inf, inf)",
+    ("noise", "lf_amp"): "[0, inf)",
+    ("detection", "quantum_efficiency"): "(0, 1]",
+    ("detection", "visibility"): "(0, 1]",
+    ("detection", "dark_noise_db"): "[-inf, 0)",
+    ("analyzer", "start"): "(0, inf)",
+    ("analyzer", "stop"): "(0, inf)",
+    ("analyzer", "n_points"): "[2, inf)",
+    ("analyzer", "rbw"): "(0, inf)",
+    ("analyzer", "vbw"): "(0, inf)",
+}
+INTEGER_KEYS = {("analyzer", "n_points"), ("seed", None)}
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e308, 5e-324, -5e-324, 1e308]
+# integers beside the floats, which an integer key refuses by type
+INTEGERS = [-1, 0, 1, 2, 8, 2**64, 10**12]
+
+COMMANDS = [
+    ["spectrum", "--points", "8"],
+    ["criteria"],
+    ["pulsed"],
+    ["pulsed", "--model", "plus", "--assume-feedback"],
+    ["synth", "--n-samples", "1024"],
+    ["synth", "--mode", "plus", "--n-samples", "1024"],
+    ["analyze", "{record}"],
+]
+
+# each float flag, the command it is given to, and its default
+FLAGS = [
+    (["spectrum", "--points", "8"], "--start", 300e3),
+    (["spectrum", "--points", "8"], "--stop", 10e6),
+    (["spectrum", "--points", "8"], "--rbw", 100e3),
+    (["spectrum", "--points", "8"], "--vbw", 300.0),
+    (["pulsed", "--example"], "--T", 1e-6),
+    (["pulsed", "--model", "minus", "--assume-feedback"], "--T", 1e-6),
+    (["pulsed"], "--flat", 1.0),
+    (["synth", "--n-samples", "1024"], "--sample-rate", 25e6),
+    (["synth"], "--n-samples", 1024.0),
+    (["analyze", "{record}"], "--rbw", 100e3),
+    (["criteria"], "--freq", 3.5e6),
+]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A directory holding a 1024-sample record for analyze."""
+    path = tmp_path_factory.mktemp("contract")
+    assert cli.main(["--out", str(path), "synth", "--n-samples", "1024"]) == 0
+    return path
+
+
+def run(workdir, *argv):
+    """cli.main's exit code and stderr; a warning fails the run."""
+    stderr = io.StringIO()
+    argv = [a.format(record=workdir / "timeseries_minus.sqts") for a in argv]
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = cli.main(["--out", str(workdir / "out"), *argv])
+    err = stderr.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    return code, err
+
+
+def key_values(key):
+    if key in INTEGER_KEYS:
+        return st.sampled_from(INTEGERS + SPECIAL)
+    default = getattr(getattr(default_config(), key[0]), key[1])
+    return st.sampled_from(SPECIAL + [default])
+
+
+config_cases = st.sampled_from([*DOMAINS, ("seed", None)]).flatmap(
+    lambda key: st.tuples(st.just(key), key_values(key)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_cases, st.sampled_from(COMMANDS))
+def test_any_config_value_keeps_the_exit_codes(workdir, case, command):
+    (section, field), value = case
+    if field == "n_points" and command[0] == "spectrum":
+        command = ["spectrum"]  # --points would override the drawn value
+    doc = {"seed": value} if field is None else {section: {field: value}}
+    path = workdir / "config.json"
+    path.write_text(json.dumps(doc))
+    code, err = run(workdir, "--config", str(path), *command)
+    if field is None:
+        valid = isinstance(value, int) and 0 <= value < 2**64
+    else:
+        valid = (section, field) not in INTEGER_KEYS or isinstance(value, int)
+        try:
+            in_domain(field, value, DOMAINS[section, field])
+        except ValueError:
+            valid = False
+    if not valid:
+        assert code == 2, err
+        assert f"key '{section}" in err and (field or "") in err, err
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FLAGS).flatmap(
+    lambda flag: st.tuples(st.just(flag), st.sampled_from(SPECIAL + [flag[2]]))))
+def test_any_float_flag_keeps_the_exit_codes(workdir, case):
+    (command, flag, default), value = case
+    code, err = run(workdir, *command, f"{flag}={value!r}")
+    if not 0 < value < math.inf or (flag == "--n-samples" and value != default):
+        assert code == 2, err
+        assert f"key '{flag}'" in err, err
+
+
+def test_the_readme_lists_every_domain():
+    text = README.read_text()
+    for (section, field), domain in DOMAINS.items():
+        assert f"`{section}.{field}`: {domain}" in text
