@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .classical_noise import total_spectrum
-from .config import ConfigError, RunConfig, _build_section, default_config, load_config
+from .config import ConfigError, RunConfig, _build_section, default_config, keyed, load_config
 from .detection import (
     effective_efficiency,
     observe,  # not called here: perfbench's traced CLI run probes it by this name
@@ -35,6 +35,7 @@ from .dsp import (
     Trace,
     emulate_sweep,
     normalize_to_shot,
+    record_grid,
     synthesize,
     welch_psd,
 )
@@ -73,13 +74,6 @@ SYNTH_PEAK_PER_RECORD = 6
 # fixed overhead weighs more, plus a margin.
 SPECTRUM_PEAK_PER_POINT = 8 * 257 * 8
 
-# the electronic noise of a detected record is drawn this many samples at a
-# time for cache locality: each block is drawn, scaled and added while it is
-# in cache. One draw of the whole record gives the same samples and the same
-# peak memory, as synth peaks inside irfft, but a slower dark step: 87 against
-# 83 ms at n = 2^22, 22 against 21 ms at 2^20 (numpy 2.4, x86-64, median of 15)
-_DARK_BLOCK_SAMPLES = 1 << 16
-
 # piecewise model of the stabilized source: shot-limited below 50 kHz,
 # 3 dB squeezed above; its published improvement estimate for T = 1 us
 EXAMPLE_PIECEWISE = PiecewiseSpectrum(
@@ -90,10 +84,8 @@ EXAMPLE_REFERENCE_FACTOR = 1.7
 
 def _finite_positive(flag: str, value: float, what: str) -> float:
     """The value of a float flag, or a ConfigError naming the flag."""
-    try:
+    with keyed(flag):
         return in_domain(what, value, "(0, inf)")
-    except ValueError as exc:
-        raise ConfigError(f"key '{flag}': {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -173,21 +165,23 @@ def _inseparability(spectra: dict, f):
 
 
 def _sweep_config(cfg: RunConfig, args) -> SweepConfig:
-    fields = {f.name: getattr(cfg.analyzer, f.name) for f in dataclasses.fields(SweepConfig)}
-    for name, flag, arg in (
-        ("start", "--start", args.start),
-        ("stop", "--stop", args.stop),
-        ("rbw", "--rbw", args.rbw),
-        ("vbw", "--vbw", args.vbw),
-    ):
-        if arg is not None:
-            fields[name] = _finite_positive(flag, arg, "frequency")
-    if args.points is not None:
-        fields["n_points"] = args.points
-    try:
-        return SweepConfig(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"key 'analyzer': {exc}") from exc
+    """The config's analyzer settings with the typed flags put in one at a
+    time, so that SweepConfig's refusal names the flag. A start at or above
+    the config's stop goes in after --stop, and a vbw above its rbw after
+    --rbw: then each step is valid if the final settings are."""
+    sweep = cfg.analyzer
+    order = [("start", "--start", args.start), ("stop", "--stop", args.stop),
+             ("n_points", "--points", args.points),
+             ("vbw", "--vbw", args.vbw), ("rbw", "--rbw", args.rbw)]
+    if args.start is not None and args.start >= sweep.stop:
+        order[0], order[1] = order[1], order[0]
+    if args.vbw is not None and args.vbw > sweep.rbw:
+        order[3], order[4] = order[4], order[3]
+    for name, flag, value in order:
+        if value is not None:
+            with keyed(flag):
+                sweep = dataclasses.replace(sweep, **{name: value})
+    return sweep
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> None:
@@ -252,10 +246,8 @@ def _pulsed_spectrum(cfg: RunConfig, args):
         _finite_positive("--flat", args.flat, "level")
         return Spectrum.flat(args.flat), f"flat {args.flat:g}"
     if args.piecewise is not None:
-        try:
+        with keyed("--piecewise"):
             doc = json.loads(args.piecewise)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"key '--piecewise': {exc}") from exc
         return _build_section("--piecewise", PiecewiseSpectrum, doc), "piecewise (inline)"
     if args.example:
         return EXAMPLE_PIECEWISE, "example: shot-limited below 50 kHz, 3 dB squeezed above"
@@ -275,10 +267,8 @@ def _readable(x: float) -> str:
 
 
 def cmd_pulsed(cfg: RunConfig, args) -> None:
-    try:
+    with keyed("--T"):
         window = PulsedWindow(duration=args.T)
-    except ValueError as exc:
-        raise ConfigError(f"key '--T': {exc}") from exc
     spectrum, desc = _pulsed_spectrum(cfg, args)
 
     value, err = pulsed_variance_with_error(spectrum, window)
@@ -335,31 +325,19 @@ def detected_record(
     samples = synthesize(base, sample_rate, n_samples, shaped_seed).samples
     dark = cfg.detection.dark_linear
     if dark > 0:
-        # added in place, a block of normals at a time: consecutive blocks
-        # continue one stream, so this equals one standard_normal(n_samples)
-        rng = np.random.default_rng(dark_seed)
-        block = np.empty(min(n_samples, _DARK_BLOCK_SAMPLES))
-        for start in range(0, n_samples, block.size):
-            chunk = block[: n_samples - start]
-            rng.standard_normal(out=chunk)
-            chunk *= math.sqrt(dark)
-            samples[start : start + chunk.size] += chunk
+        noise = np.random.default_rng(dark_seed).standard_normal(n_samples)
+        noise *= math.sqrt(dark)
+        samples += noise
     return TimeSeries(sample_rate=sample_rate, samples=samples, seed=seed)
 
 
 def cmd_synth(cfg: RunConfig, args) -> None:
-    given = args.n_samples
-    n = int(given) if math.isfinite(given) and given == int(given) else 0
-    if n < 2 or n & (n - 1):
-        raise ConfigError(
-            f"key '--n-samples': must be a power of two >= 2, got {given:.17g}"
-        )
-    _finite_positive("--sample-rate", args.sample_rate, "sample rate")
+    with keyed("--sample-rate", n_samples="--n-samples"):
+        n, df = record_grid(args.sample_rate, args.n_samples)
     if args.mode != "shot":
         # the low-frequency term is monotone in f and the others are bounded,
         # so a model value beyond the float range shows at the band's ends,
         # taken as synthesize takes them
-        df = 1.0 / (n * (1.0 / args.sample_rate))
         _model_values({args.mode: total_spectrum(cfg.opo, cfg.noise, args.mode)},
                       np.array([df, n // 2 * df]))
     record = 8 * n
@@ -382,12 +360,13 @@ def _trace_from_welch(ts: TimeSeries, rbw: float) -> Trace:
 
 def cmd_analyze(cfg: RunConfig, args) -> None:
     rbw = cfg.analyzer.rbw if args.rbw is None else _finite_positive("--rbw", args.rbw, "rbw")
-    ts = read_timeseries(args.input)
-    trace = _trace_from_welch(ts, rbw)
+    # an rbw at or above 2 fs names its key; a record too short for it is exit 3
+    with keyed(rbw="analyzer" if args.rbw is None else "--rbw"):
+        trace = _trace_from_welch(read_timeseries(args.input), rbw)
+        shot = _trace_from_welch(read_timeseries(args.shot), rbw) if args.shot else None
     out = _out_dir(cfg)
     written = _emit_trace(trace, out, "trace_analyzed", args.format)
     if args.shot:
-        shot = _trace_from_welch(read_timeseries(args.shot), rbw)
         written += _emit_trace(
             normalize_to_shot(trace, shot), out, "trace_normalized", args.format
         )

@@ -8,6 +8,7 @@ is where the shipped config keeps its human-readable notes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +30,20 @@ _SECTIONS = {
 
 class ConfigError(ValueError):
     """Invalid configuration document; the message names the offending key."""
+
+
+@contextlib.contextmanager
+def keyed(key: str | None = None, **keys: str):
+    """Run a block whose ValueError becomes ConfigError("key '<key>': <message>").
+    A message that begins with a name in keys, as in_domain's do, names
+    keys[name] instead; a ConfigError, or a ValueError with no key, passes."""
+    try:
+        yield
+    except ValueError as exc:
+        named = keys.get(str(exc).partition(" ")[0], key)
+        if named is None or isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(f"key '{named}': {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,8 @@ Conventions, fixed so golden outputs stay stable:
   to V over [0, fs/2]. Unit-variance white noise is flat at 2/fs.
 * A shot-normalized spectrum value of 1.0 synthesizes to samples of unit
   variance (SHOT_NOISE_VARIANCE below).
-* Synthesis holds one record-sized array, the Fourier bins, before the
-  inverse transform. The spectrum is evaluated a block of frequencies at a
-  time on the calling thread, and the amplitudes are parked in the bins'
-  imaginary slots, while one helper thread draws the real parts. The draw
-  order and the operations on each bin are those of the whole-array form,
-  so records are byte-identical to it.
+* Synthesis draws and scales the Fourier bins as the whole-array form
+  does, so records are byte-identical to it (see synthesize).
 * Welch: periodic Hann window, 50% overlap, no detrending, computed in
   numpy (no scipy import) over a read-only strided view of the segments.
 * Analyzer emulation: Gaussian resolution-bandwidth kernel (FWHM = rbw),
@@ -37,6 +33,7 @@ __all__ = [
     "TimeSeries",
     "Trace",
     "SweepConfig",
+    "record_grid",
     "synthesize",
     "welch_psd",
     "rbw_convolve",
@@ -151,16 +148,28 @@ def synthesize(spectrum, sample_rate: float, n_samples: int, seed: int) -> TimeS
     array by a real scalar by multiplying with its reciprocal, so records
     keep their bytes.
     """
-    in_domain("sample_rate", sample_rate, "(0, inf]")
-    n_samples = int(n_samples)
-    if n_samples < 2 or n_samples & (n_samples - 1):
-        raise ValueError(f"n_samples must be a power of two >= 2, got {n_samples}")
-
-    samples = np.fft.irfft(_fourier_bins(spectrum, sample_rate, n_samples, seed), n_samples)
+    n_samples, df = record_grid(sample_rate, n_samples)
+    samples = np.fft.irfft(_fourier_bins(spectrum, df, n_samples, seed), n_samples)
     return TimeSeries(sample_rate=sample_rate, samples=samples, seed=int(seed))
 
 
-def _fourier_bins(spectrum, sample_rate: float, n_samples: int, seed: int) -> np.ndarray:
+def record_grid(sample_rate: float, n_samples) -> tuple[int, float]:
+    """A record's length as an int and its bin spacing, as np.fft.rfftfreq
+    has it. A ValueError naming the parameter first unless n_samples is a
+    power of two >= 2 by value (1.5 and NaN are not), sample_rate lies in
+    (0, inf), and n_samples / sample_rate is finite, so the spacing is > 0."""
+    n = int(n_samples) if 2 <= n_samples < np.inf else 0
+    if n < 2 or n != n_samples or n & (n - 1):
+        raise ValueError(f"n_samples must be a power of two >= 2, got {n_samples:.17g}")
+    in_domain("sample_rate", sample_rate, "(0, inf)")
+    df = 1.0 / (n * (1.0 / float(sample_rate)))
+    if not df > 0:
+        raise ValueError(f"sample_rate must give {n} samples a finite duration, "
+                         f"got {sample_rate!r}")
+    return n, df
+
+
+def _fourier_bins(spectrum, df: float, n_samples: int, seed: int) -> np.ndarray:
     """The scaled Fourier bins of synthesize; the block temporaries and the
     helper thread are gone when this returns, before the transform."""
     half = n_samples // 2
@@ -184,7 +193,6 @@ def _fourier_bins(spectrum, sample_rate: float, n_samples: int, seed: int) -> np
     helper = threading.Thread(target=draw_real_parts, name="synthesize-real-parts")
     helper.start()
     try:
-        df = 1.0 / (n_samples * (1.0 / sample_rate))  # as np.fft.rfftfreq has it
         f_bad = None
         for a in range(0, half, _SYNTH_BLOCK):
             freqs = np.arange(a + 1, min(a + _SYNTH_BLOCK, half) + 1) * df
@@ -232,10 +240,7 @@ def welch_psd(ts: TimeSeries, rbw: float) -> TabulatedSpectrum:
     do not fill a segment are dropped (Welch, IEEE Trans. Audio Electroacoust.
     15, 1967).
     """
-    if not 0 < rbw < 2.0 * ts.sample_rate:
-        raise ValueError(
-            f"rbw must be positive and below twice the sample rate, got {rbw:.6g} Hz"
-        )
+    in_domain("rbw", rbw, f"(0, {2.0 * ts.sample_rate!r})")
     # the smallest power of two whose bin spacing is at most rbw / 2; inf
     # where that is beyond the float range, as no record can hold it
     log2 = np.ceil(np.log2(2.0 * ts.sample_rate / rbw))

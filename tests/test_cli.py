@@ -86,6 +86,37 @@ def test_spectrum_band_reversed_is_config_error(tmp_path, capsys):
     assert "start" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["--points", 1], "key '--points': n_points must lie in [2, inf), got 1"),
+    (["--start", 2e7], "key '--start': start must lie below stop, got 20000000.0 and 10000000.0"),
+    (["--stop", 1e5], "key '--stop': start must lie below stop, got 300000.0 and 100000.0"),
+    (["--vbw", 2e5], "key '--vbw': vbw must not exceed rbw, got 200000.0 and 100000.0"),
+    (["--rbw", 100.0], "key '--rbw': vbw must not exceed rbw, got 300.0 and 100.0"),
+    # the other flags are valid, so the refusal is the one flag's
+    (["--points", 8, "--start", "nan"], "key '--start': start must lie in (0, inf), got nan"),
+    (["--start", 2e7, "--stop", 1.5e7],
+     "key '--start': start must lie below stop, got 20000000.0 and 15000000.0"),
+])
+def test_a_sweep_flag_the_analyzer_refuses_is_named(tmp_path, capsys, argv, err):
+    assert run("--out", tmp_path, "spectrum", *argv) == 2
+    assert capsys.readouterr().err == f"configuration error: {err}\n"
+
+
+@pytest.mark.parametrize("argv", [["--start", 2e7, "--stop", 3e7], ["--stop", 2e5, "--start", 1e5],
+                                  ["--vbw", 2e5, "--rbw", 3e5], ["--rbw", 200.0, "--vbw", 100.0]])
+def test_sweep_flags_valid_together_are_taken_in_any_order(tmp_path, argv):
+    # each pair breaks start < stop or vbw <= rbw against the config's other end
+    assert run("--out", tmp_path, "spectrum", "--points", 8, *argv) == 0
+
+
+def test_a_config_grid_the_analyzer_refuses_names_its_section(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"analyzer": {"n_points": 1}}))
+    assert run("--config", path, "--out", tmp_path, "spectrum") == 2
+    assert capsys.readouterr().err == (
+        "configuration error: key 'analyzer': n_points must lie in [2, inf), got 1\n")
+
+
 def test_above_threshold_config_is_config_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"opo": {"pump_ratio": 1.4}}))
@@ -433,10 +464,10 @@ print((hwm() - base) / 8000, cli.SPECTRUM_PEAK_PER_POINT)
 
 
 def test_detected_record_adds_the_dark_noise_of_one_draw():
-    # the electronic noise goes in a block at a time; the record must equal
-    # the shaped series plus sqrt(dark) times one standard_normal(n) draw
+    # the record must equal the shaped series plus sqrt(dark) times one
+    # standard_normal(n) draw
     cfg = default_config()
-    n = 4 * cli._DARK_BLOCK_SAMPLES
+    n = 2**18
     shaped_seed, dark_seed = cli._sub_seeds(cfg.require_seed(), 2)
     shaped = sqzsim.synthesize(sqzsim.Spectrum.flat(1.0), 25e6, n, shaped_seed).samples
     dark = np.random.default_rng(dark_seed).standard_normal(n)
@@ -452,6 +483,19 @@ def test_synth_rejects_n_samples_that_are_not_powers_of_two(tmp_path, capsys, mo
     assert run("--out", tmp_path, "--seed", 1, "synth", f"--n-samples={given}") == 2
     err = capsys.readouterr().err
     assert "'--n-samples'" in err and f"got {given}" in err
+
+
+@pytest.mark.parametrize("mode", ["minus", "plus", "shot"])
+def test_synth_at_a_rate_whose_record_never_ends_names_the_rate(tmp_path, capsys, monkeypatch,
+                                                                  mode):
+    # 1024 / 5e-324 s overflows, and the bin spacing fs / 1024 is 0
+    monkeypatch.setattr(cli, "synthesize", _must_not_run)
+    assert run("--out", tmp_path / "out", "--seed", 1, "synth", "--mode", mode,
+               "--n-samples", 1024, "--sample-rate", 5e-324) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: key '--sample-rate': sample_rate must give 1024 samples a "
+        "finite duration, got 5e-324\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_requires_seed(tmp_path, capsys):
@@ -478,6 +522,34 @@ def test_analyze_with_a_tiny_rbw_names_the_short_record(tmp_path, capsys, rbw):
         f"numerical error: record of 1024 samples is too short for rbw={float(rbw):.6g} Hz: "
     )
     assert not (tmp_path / "trace_analyzed.csv").exists()
+
+
+def test_analyze_with_an_rbw_at_twice_the_sample_rate_names_its_key(tmp_path, capsys):
+    assert run("--out", tmp_path, "synth", "--n-samples", 1024) == 0
+    record = tmp_path / "timeseries_minus.sqts"
+    capsys.readouterr()
+    assert run("--out", tmp_path, "analyze", record, "--rbw", 5e7) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: key '--rbw': rbw must lie in (0, 50000000.0), got 50000000.0\n")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"analyzer": {"rbw": 1e9}}))
+    assert run("--config", path, "--out", tmp_path, "analyze", record) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: key 'analyzer': rbw must lie in (0, 50000000.0), "
+        "got 1000000000.0\n")
+    assert not (tmp_path / "trace_analyzed.csv").exists()
+
+
+def test_analyze_names_the_rbw_a_slower_shot_record_refuses(tmp_path, capsys):
+    slow = tmp_path / "slow"
+    assert run("--out", tmp_path, "synth", "--n-samples", 2**12) == 0
+    assert run("--out", slow, "synth", "--mode", "shot", "--n-samples", 2**12,
+               "--sample-rate", 1e6) == 0
+    capsys.readouterr()
+    assert run("--out", tmp_path / "out", "analyze", tmp_path / "timeseries_minus.sqts",
+               "--rbw", 4e6, "--shot", slow / "timeseries_shot.sqts") == 2
+    assert capsys.readouterr().err == (
+        "configuration error: key '--rbw': rbw must lie in (0, 2000000.0), got 4000000.0\n")
 
 
 def test_analyze_missing_file_exits_4(tmp_path):

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from sqzsim import ConfigError, RunConfig, default_config, load_config
-from sqzsim.config import config_from_dict
+from sqzsim.config import config_from_dict, keyed
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -79,3 +79,25 @@ def test_run_config_is_frozen():
     cfg = RunConfig()
     with pytest.raises(AttributeError):
         cfg.seed = 1
+
+
+def test_keyed_names_the_key_of_a_refusal():
+    with pytest.raises(ConfigError, match=r"^key '--x': x must lie in \(0, 1\)$"):
+        with keyed("--x"):
+            raise ValueError("x must lie in (0, 1)")
+    # a ConfigError already names its key
+    with pytest.raises(ConfigError, match=r"^key 'seed': bad$"):
+        with keyed("--x"):
+            raise ConfigError("key 'seed': bad")
+    # a message beginning with a mapped parameter's name names its key
+    with pytest.raises(ConfigError, match=r"^key '--n': n must be even$"):
+        with keyed("--x", n="--n"):
+            raise ValueError("n must be even")
+    # with no key of its own, a message naming no mapped parameter passes
+    with pytest.raises(ValueError, match=r"^record too short$") as caught:
+        with keyed(n="--n"):
+            raise ValueError("record too short")
+    assert type(caught.value) is ValueError
+    with pytest.raises(ZeroDivisionError):
+        with keyed("--x"):
+            1 / 0

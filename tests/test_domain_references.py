@@ -129,7 +129,7 @@ def new_time_series(**fields):
 
 def new_synthesize(sample_rate):
     # past its sample-rate check synthesize may fail for other reasons (an
-    # inf rate divides by zero), so only a refusal of the rate counts
+    # integer beyond the float range), so only a refusal of the rate counts
     try:
         synthesize(Spectrum.flat(1.0), sample_rate, 2, 0)
     except Exception as exc:  # noqa: BLE001
@@ -166,6 +166,10 @@ def assert_same_outcome(cls, name, value):
     want = outcome(ref, SimpleNamespace(**fields))
     assert outcome(NEW[cls], **fields) is want, (cls.__name__, name, value)
     if cls is TimeSeries:
+        # synthesize takes a finite rate, and one at which its 2 samples
+        # last a finite time: below about 1.1e-308 its bin spacing would be 0
+        if want is None and not (value < math.inf and 2 / value < math.inf):
+            want = ValueError
         assert new_synthesize(value) is want, ("synthesize", value)
 
 

@@ -22,7 +22,7 @@ from sqzsim import (
     total_spectrum,
     welch_psd,
 )
-from sqzsim.dsp import _SYNTH_BLOCK
+from sqzsim.dsp import _SYNTH_BLOCK, record_grid
 
 FS = 1e6
 
@@ -200,6 +200,29 @@ def test_synthesize_input_validation():
         synthesize(Spectrum.flat(-1.0), FS, 2**10, 1)
     with pytest.raises(ValueError):
         synthesize(Spectrum.flat(1.0), -1.0, 2**10, 1)
+
+
+@pytest.mark.parametrize("sample_rate, message", [
+    (np.inf, r"sample_rate must lie in \(0, inf\), got inf"),
+    # fs / n underflows to a bin spacing of 0
+    (5e-324, r"sample_rate must give 1024 samples a finite duration, got 5e-324"),
+])
+def test_synthesize_refuses_a_rate_whose_bins_have_no_spacing(sample_rate, message):
+    with pytest.raises(ValueError, match=message):
+        synthesize(Spectrum.flat(1.0), sample_rate, 1024, 1)
+
+
+@pytest.mark.parametrize("n", [1.5, np.nan, np.inf, 0, 1, 3, -4, 2**20 + 0.5])
+def test_record_grid_refuses_a_length_that_is_not_a_power_of_two_by_value(n):
+    with pytest.raises(ValueError, match="n_samples must be a power of two >= 2, got "):
+        record_grid(FS, n)
+
+
+def test_record_grid_gives_rfftfreq_spacing():
+    for n in (2, 1024.0, np.int64(2**20)):
+        got_n, df = record_grid(FS, n)
+        assert type(got_n) is int and got_n == n
+        assert df == np.fft.rfftfreq(got_n, d=1.0 / FS)[1]
 
 
 # ------------------------------------------------------------------ welch
