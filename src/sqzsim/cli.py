@@ -186,8 +186,8 @@ def _sweep_config(cfg: RunConfig, args) -> SweepConfig:
 
 def cmd_spectrum(cfg: RunConfig, args) -> None:
     sweep = _sweep_config(cfg, args)
-    with _peak_memory("--points" if args.points is not None else "analyzer.n_points",
-                      f"a grid of {sweep.n_points} points",
+    with _peak_memory("--points" if args.points is not None else "analyzer",
+                      f"a grid of n_points = {sweep.n_points}",
                       SPECTRUM_PEAK_PER_POINT * sweep.n_points):
         modes = ("plus", "minus") if args.mode == "both" else (args.mode,)
         freqs = sweep.freqs

@@ -83,6 +83,7 @@ def _build_section(name: str, cls, payload) -> object:
     if not isinstance(payload, dict):
         raise ConfigError(f"key '{name}': expected an object of parameters")
     fields = cls.__dataclass_fields__
+    kwargs = {}
     for key, value in payload.items():
         if key not in fields:
             raise ConfigError(f"key '{name}.{key}': unknown parameter")
@@ -97,8 +98,14 @@ def _build_section(name: str, cls, payload) -> object:
             if isinstance(item, bool) or not isinstance(item, int if integer else (int, float)):
                 kind = "an integer" if integer else "a number"
                 raise ConfigError(f"key '{name}.{key}': expected {kind}, got {item!r}")
+        # the rest is float: a JSON integer beyond the float range is refused here
+        try:
+            kwargs[key] = value if integer else [*map(float, value)] if listed else float(value)
+        except OverflowError:
+            raise ConfigError(f"key '{name}.{key}': expected a number within the float "
+                              "range, got an integer beyond it") from None
     try:
-        return cls(**payload)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:  # TypeError: a parameter without default is missing
         raise ConfigError(f"key '{name}': {exc}") from exc
 

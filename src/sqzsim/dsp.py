@@ -207,7 +207,13 @@ def _fourier_bins(spectrum, df: float, n_samples: int, seed: int) -> np.ndarray:
                 # written out of place: the spectrum's own result may be
                 # read-only or shared
                 amp = amps[a:a + freqs.size]
-                np.multiply(n_samples, target, out=amp)
+                with np.errstate(over="ignore"):
+                    np.multiply(n_samples, target, out=amp)
+                if amp.max() == np.inf:
+                    i = int(amp.argmax())
+                    raise ValueError(
+                        f"spectrum is {target[i]:.6g} at {freqs[i]:.6g} Hz, too large for "
+                        f"a record of {n_samples} samples: n S leaves the float range")
                 np.sqrt(amp, out=amp)
     finally:
         helper.join()
@@ -256,12 +262,20 @@ def welch_psd(ts: TimeSeries, rbw: float) -> TabulatedSpectrum:
     window = np.hanning(nperseg + 1)[:-1]
     block = max(1, _WELCH_BLOCK_SAMPLES // nperseg)
     power = np.zeros(nperseg // 2 + 1)
-    for start in range(0, len(segments), block):
-        spec = np.fft.rfft(segments[start:start + block] * window, axis=-1)
-        power += (spec.real**2 + spec.imag**2).sum(axis=0)
-
-    psd = power / (ts.sample_rate * np.sum(window**2) * len(segments))
-    psd[1:-1] *= 2.0  # one-sided: fold in the negative frequencies
+    # a non-finite sample, or a PSD beyond the float range, shows in the
+    # result; it is named below rather than warned about here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(segments), block):
+            spec = np.fft.rfft(segments[start:start + block] * window, axis=-1)
+            power += (spec.real**2 + spec.imag**2).sum(axis=0)
+        psd = power / (ts.sample_rate * np.sum(window**2) * len(segments))
+        psd[1:-1] *= 2.0  # one-sided: fold in the negative frequencies
+    if not np.isfinite(psd).all():
+        bad = np.flatnonzero(~np.isfinite(ts.samples))
+        if bad.size:
+            raise ValueError(f"record sample {bad[0]} is {float(ts.samples[bad[0]])!r}: "
+                             "a PSD needs finite samples")
+        raise ValueError(f"the record's PSD leaves the float range at rbw={rbw:.6g} Hz")
     freqs = np.fft.rfftfreq(nperseg, d=1.0 / ts.sample_rate)
     return TabulatedSpectrum(freqs, psd, label=f"welch rbw={rbw:.6g}")
 

@@ -28,7 +28,7 @@ sorted distinct edges (side 0, in u), then the far field in eighths of w,
 with the breakpoints beyond x as further edges (side 1, in w). A spectrum
 declares a handful of breakpoints, so their positions b T and the panel
 edges are worked out in Python floats. The lobe table is evaluated in chunks
-of at most 4096 nodes; one spectrum call covers everything else (the
+of at most 8192 nodes; one spectrum call covers everything else (the
 far-field breakpoints, x and the nodes of the whole generic set), and the
 set's GL16 and GL8 sums are taken in one pass. One panel table holds the
 whole lobes, then the generic set, with a side column; its worst panel is
@@ -65,7 +65,7 @@ _N_FINE = 16
 _N_LOBES = 1_000
 _REL_TOL = 1e-6
 _MAX_REFINEMENTS = 4000
-_CHUNK_NODES = 4096
+_CHUNK_NODES = 8192
 
 # the panels of a spectrum without breakpoints: every near-field lobe whole,
 # and the far field in eighths of w
@@ -194,8 +194,9 @@ def _lobe_table():
 def _lobe_panels(s, t):
     """GL16 value and |GL16 - GL8| of the near-field integrand on each whole
     lobe, from the table. The spectrum is called on at most _CHUNK_NODES
-    nodes at a time, which keeps its temporaries below the size whose free
-    trims the heap; each chunk's values times the weights go into one
+    nodes at a time (341 lobes of 24 nodes), which keeps its 64 KiB
+    temporaries below glibc's 128 KiB threshold, past which a free trims
+    the heap; each chunk's values times the weights go into one
     product array, whose GL16 and GL8 row sums are then taken once."""
     nodes, weights = _lobe_table()
     product = np.empty(nodes.shape)

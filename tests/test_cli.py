@@ -11,6 +11,8 @@ import sqzsim
 from sqzsim import cli
 from sqzsim.cli import main
 from sqzsim.config import default_config, load_config
+from sqzsim.dsp import TimeSeries
+from sqzsim.fileio import write_timeseries
 
 from conftest import fresh_python
 
@@ -41,24 +43,16 @@ def quiet_config(tmp_path):
     return path
 
 
-def test_spectrum_emits_expected_files(tmp_path):
-    assert run("--out", tmp_path, "--seed", 3, "spectrum", "--points", 64) == 0
-    for name in (
-        "spectrum_analytic.csv",
-        "inseparability.csv",
-        "trace_plus.csv",
-        "trace_plus.json",
-        "trace_minus.csv",
-        "trace_minus.json",
-        "trace_plus_corrected.csv",
-        "trace_plus_corrected.json",
-        "trace_minus_corrected.csv",
-        "trace_minus_corrected.json",
-    ):
-        assert (tmp_path / name).exists(), name
-    doc = json.loads((tmp_path / "trace_minus.json").read_text())
+@pytest.mark.parametrize("mode, traced", [("both", ("minus", "plus")), ("plus", ("plus",))])
+def test_spectrum_emits_expected_files(tmp_path, mode, traced):
+    assert run("--out", tmp_path, "--seed", 3, "spectrum", "--points", 64, "--mode", mode) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "inseparability.csv", "spectrum_analytic.csv",
+        *(f"trace_{m}{kind}.{ext}" for m in traced for kind in ("", "_corrected")
+          for ext in ("csv", "json"))]
+    doc = json.loads((tmp_path / f"trace_{traced[0]}.json").read_text())
     jsonschema.validate(doc, schema("trace.schema.json"))
-    header = (tmp_path / "trace_minus.csv").read_text().splitlines()[0]
+    header = (tmp_path / f"trace_{traced[0]}.csv").read_text().splitlines()[0]
     assert header == "freq_hz,value_db"
 
 
@@ -289,6 +283,38 @@ def test_synth_analyze_round_trip(tmp_path):
     jsonschema.validate(doc, schema("trace.schema.json"))
 
 
+def test_synth_of_a_model_whose_n_s_overflows_names_the_frequency(tmp_path, capsys):
+    # lf_amp 1e305 is finite everywhere in the band, but 1024 S is not at
+    # the first bin: the record would be NaN
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"noise": {"lf_amp": 1e305}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("--config", path, "--out", tmp_path / "out", "synth", "--n-samples", 1024) == 3
+    assert capsys.readouterr().err == (
+        "numerical error: spectrum is 3.7491e+305 at 24414.1 Hz, too large for a record of "
+        "1024 samples: n S leaves the float range\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("shot", [False, True])
+def test_analyze_names_the_first_sample_that_is_not_finite(tmp_path, capsys, shot):
+    samples = np.ones(1024)
+    samples[[28, 500]] = np.nan
+    bad = tmp_path / "bad.sqts"
+    write_timeseries(bad, TimeSeries(25e6, samples, 1))
+    assert run("--out", tmp_path, "synth", "--n-samples", 1024) == 0
+    good = tmp_path / "timeseries_minus.sqts"
+    capsys.readouterr()
+    argv = [good, "--shot", bad] if shot else [bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("--out", tmp_path / "out", "analyze", *argv) == 3
+    assert capsys.readouterr().err == (
+        "numerical error: record sample 28 is nan: a PSD needs finite samples\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -328,8 +354,8 @@ def test_running_out_of_memory_is_a_numerical_error(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     # inside the grid's memory estimate, the message names its key and size
     need = cli.SPECTRUM_PEAK_PER_POINT * 64
-    assert err == ("numerical error: out of memory in spectrum: key '--points': a grid of 64 "
-                   f"points, about {need / 2**20:.0f} MiB at peak: Unable to allocate 19.1 GiB\n")
+    assert err == ("numerical error: out of memory in spectrum: key '--points': a grid of "
+                   f"n_points = 64, about {need / 2**20:.0f} MiB at peak: Unable to allocate 19.1 GiB\n")
 
     # outside any estimate; Python's own MemoryError carries no message
     def no_memory_left(*args, **kwargs):
@@ -363,7 +389,7 @@ print(code, err.getvalue(), end="")
     (["synth", "--n-samples", "4194304"],
      "key '--n-samples': a record of 4194304 samples (33554432 bytes)",
      cli.SYNTH_PEAK_PER_RECORD * 8 * 2**22),
-    (["spectrum", "--points", "20000"], "key '--points': a grid of 20000 points",
+    (["spectrum", "--points", "20000"], "key '--points': a grid of n_points = 20000",
      cli.SPECTRUM_PEAK_PER_POINT * 20000),
 ])
 def test_an_allocation_refused_below_physical_memory_names_its_key_and_size(tmp_path, argv,
@@ -439,7 +465,7 @@ def test_spectrum_config_grid_larger_than_memory_names_its_key(tmp_path, capsys,
     assert 2**20 < cli.SPECTRUM_PEAK_PER_POINT * 512
     assert run("--out", tmp_path, "spectrum") == 2
     err = capsys.readouterr().err
-    assert "key 'analyzer.n_points': a grid of 512 points" in err
+    assert "key 'analyzer': a grid of n_points = 512 needs about " in err
     assert str(cli.SPECTRUM_PEAK_PER_POINT * 512) in err
 
 

@@ -43,6 +43,38 @@ def test_invalid_value_names_section():
         config_from_dict({"detection": {"visibility": 2.0}})
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"opo": 5}, "opo"),
+    ({"analyzer": [300e3, 10e6]}, "analyzer"),
+])
+def test_a_section_that_is_not_an_object_is_named(doc, key):
+    with pytest.raises(ConfigError, match=f"^key '{key}': expected an object of parameters$"):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "opo", 3, None])
+def test_a_root_that_is_not_an_object_is_refused(doc):
+    with pytest.raises(ConfigError, match="^configuration root must be a JSON object$"):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("noise", "relax_center", 10**400),
+    ("analyzer", "stop", -(10**400)),
+    ("opo", "cavity_hwhm", 10**400),
+])
+def test_an_integer_beyond_the_float_range_names_its_key(section, key, value):
+    with pytest.raises(ConfigError, match=f"^key '{section}.{key}': expected a number within "
+                                          "the float range, got an integer beyond it$"):
+        config_from_dict({section: {key: value}})
+
+
+def test_a_float_parameter_given_as_an_integer_is_a_float():
+    cfg = config_from_dict({"opo": {"cavity_hwhm": 50_000_000}, "analyzer": {"n_points": 64}})
+    assert type(cfg.opo.cavity_hwhm) is float and cfg.opo == default_config().opo
+    assert type(cfg.analyzer.n_points) is int
+
+
 def test_bad_seed_type():
     # bool is an int subclass, but True is no seed
     for seed in ("abc", True):

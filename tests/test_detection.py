@@ -9,12 +9,14 @@ from numpy.testing import assert_allclose
 from sqzsim import (
     DetectionParams,
     Spectrum,
+    default_config,
     effective_efficiency,
     from_db,
     observe,
     observe_corrected,
     observed_relative_to_shot,
     to_db,
+    total_spectrum,
 )
 
 NO_DARK = DetectionParams(quantum_efficiency=0.894, visibility=1.0, dark_noise_db=-math.inf)
@@ -54,6 +56,17 @@ def test_observe_is_the_corrected_response_plus_dark():
     assert np.array_equal(observe(s_in, d)(f), observe_corrected(s_in, d)(f) + d.dark_linear)
     for x in f[::10]:
         assert observe(s_in, d)(x) == observe_corrected(s_in, d)(x) + d.dark_linear
+
+
+def test_detector_maps_do_not_write_the_spectrum_they_wrap():
+    # writing the wrapped spectrum's read-only result would raise
+    cfg = default_config()
+    band = 1e3 + 2e3 * np.arange(50_000)
+    levels = total_spectrum(cfg.opo, cfg.noise, "minus")(band)
+    levels.flags.writeable = False
+    for detected in (observe_corrected(lambda f: levels, cfg.detection),
+                     observe(lambda f: levels, cfg.detection)):
+        assert detected(band).flags.writeable
 
 
 def test_observe_composes_with_escape_loss():

@@ -133,6 +133,26 @@ def test_synthesize_failure_leaves_no_thread_running():
     assert threading.active_count() == before
 
 
+def test_a_failure_on_the_helper_thread_is_raised_on_the_caller(monkeypatch):
+    # the generator fails on any thread but the caller's
+    caller, default_rng = threading.get_ident(), np.random.default_rng
+
+    class FailingOffThread:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, *args, **kwargs):
+            if threading.get_ident() != caller:
+                raise FloatingPointError("drawn off the calling thread")
+            return self.rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", FailingOffThread)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="drawn off the calling thread"):
+        synthesize(Spectrum.flat(1.0), FS, 4 * _SYNTH_BLOCK, 1)
+    assert threading.active_count() == before
+
+
 def test_synthesize_calls_the_spectrum_on_the_calling_thread():
     seen = set()
 
@@ -200,6 +220,25 @@ def test_synthesize_input_validation():
         synthesize(Spectrum.flat(-1.0), FS, 2**10, 1)
     with pytest.raises(ValueError):
         synthesize(Spectrum.flat(1.0), -1.0, 2**10, 1)
+    # a finite value whose n S overflows, which would give NaN samples; the
+    # first bin at 25 MHz / 1024 is refused, without a warning
+    with pytest.raises(ValueError, match=r"^spectrum is 1e\+306 at 24414.1 Hz, too large for "
+                                         "a record of 1024 samples: n S leaves the float range$"):
+        synthesize(Spectrum.flat(1e306), 25e6, 2**10, 1)
+    # the largest value whose n S is a float is taken
+    ts = synthesize(Spectrum.flat(np.finfo(float).max / 2**10), 25e6, 2**10, 1)
+    assert np.isfinite(ts.samples).all()
+
+
+def test_time_series_validation():
+    for samples in (np.zeros((2, 2)), np.zeros(0), 1.0):
+        with pytest.raises(ValueError, match="samples must be a non-empty 1-d array"):
+            TimeSeries(FS, samples, 0)
+    for rate in (0.0, -0.0, -1.0, -np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"sample_rate must lie in \(0, inf\]"):
+            TimeSeries(rate, [0.0], 0)
+    for rate in (5e-324, FS, np.inf):
+        assert TimeSeries(rate, [1, 2], 0).samples.dtype == np.float64
 
 
 @pytest.mark.parametrize("sample_rate, message", [
@@ -285,6 +324,23 @@ def test_welch_rejects_rbw_outside_zero_to_twice_the_sample_rate(rbw):
     ts = synthesize(Spectrum.flat(1.0), FS, 2**10, 2)
     with pytest.raises(ValueError, match="rbw"):
         welch_psd(ts, rbw)
+
+
+@pytest.mark.parametrize("at, value", [(0, np.nan), (700, np.nan), (1000, np.inf), (3, -np.inf)])
+def test_welch_names_the_first_sample_that_is_not_finite(at, value):
+    # without a warning, and the first of them: a later one is also there
+    samples = np.ones(2**10)
+    samples[at] = value
+    samples[at + 1:] = np.nan
+    with pytest.raises(ValueError, match=f"^record sample {at} is {value!r}: a PSD needs "
+                                         "finite samples$"):
+        welch_psd(TimeSeries(FS, samples, 0), 2e4)
+
+
+def test_welch_names_a_psd_beyond_the_float_range():
+    ts = TimeSeries(FS, np.full(2**10, 1e160), 0)
+    with pytest.raises(ValueError, match="the record's PSD leaves the float range"):
+        welch_psd(ts, 2e4)
 
 
 def test_round_trip_synthesize_welch():
@@ -397,6 +453,9 @@ def test_normalize_grid_mismatch():
 
 
 def test_trace_validation():
+    for freqs, values in (([1.0, 2.0], np.zeros(3)), ([[1.0, 2.0]], np.zeros((1, 2)))):
+        with pytest.raises(ValueError, match="freqs and values_db must be 1-d arrays of equal"):
+            Trace(np.array(freqs), values, rbw=10.0, vbw=1.0)
     with pytest.raises(ValueError):
         Trace(np.array([2.0, 1.0]), np.zeros(2), rbw=10.0, vbw=1.0)
     with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 config key and float flag.
 
 Each value is drawn from the special floats (NaN, +-inf, +-0, negatives, the
-smallest subnormal, 1e308) and the defaults. Whatever it is, the command
+smallest subnormal, 1e308), integers (+-10^400 among them) and the
+defaults. Whatever it is, the command
 exits 0, 2, 3 or 4 with no traceback and no warning; a config value outside
 its field's domain exits 2 naming its section and field, and a float flag
 outside (0, inf) exits 2 naming the flag. Every exit 2 names the key drawn,
@@ -14,15 +15,17 @@ import contextlib
 import io
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqzsim import cli
 from sqzsim.config import default_config
+from sqzsim.opo import AboveThresholdError
 from sqzsim.spectra import in_domain
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -51,8 +54,9 @@ DOMAINS = {
 INTEGER_KEYS = {("analyzer", "n_points"), ("seed", None)}
 
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e308, 5e-324, -5e-324, 1e308]
-# integers beside the floats, which an integer key refuses by type
-INTEGERS = [-1, 0, 1, 2, 8, 2**64, 10**12]
+# integers beside the floats, which an integer key refuses by type, and a
+# float key beyond the float range
+INTEGERS = [-1, 0, 1, 2, 8, 2**64, 10**12, 10**400, -(10**400)]
 
 COMMANDS = [
     ["spectrum", "--points", "8"],
@@ -107,7 +111,7 @@ def key_values(key):
     if key in INTEGER_KEYS:
         return st.sampled_from(INTEGERS + SPECIAL)
     default = getattr(getattr(default_config(), key[0]), key[1])
-    return st.sampled_from(SPECIAL + [default])
+    return st.sampled_from(SPECIAL + INTEGERS + [default])
 
 
 config_cases = st.sampled_from([*DOMAINS, ("seed", None)]).flatmap(
@@ -116,6 +120,11 @@ config_cases = st.sampled_from([*DOMAINS, ("seed", None)]).flatmap(
 
 @settings(max_examples=300, deadline=None)
 @given(config_cases, st.sampled_from(COMMANDS))
+# a model value whose n S overflows in synthesis, though the value is finite,
+# and integers beyond the float range where the command converts them
+@example(case=(("noise", "lf_amp"), 1e305), command=["synth", "--n-samples", "1024"])
+@example(case=(("analyzer", "stop"), 10**400), command=["spectrum", "--points", "8"])
+@example(case=(("noise", "relax_center"), 10**400), command=["criteria"])
 def test_any_config_value_keeps_the_exit_codes(workdir, case, command):
     (section, field), value = case
     if field == "n_points" and command[0] == "spectrum":
@@ -127,10 +136,11 @@ def test_any_config_value_keeps_the_exit_codes(workdir, case, command):
     if field is None:
         valid = isinstance(value, int) and 0 <= value < 2**64
     else:
-        valid = (section, field) not in INTEGER_KEYS or isinstance(value, int)
+        integer = (section, field) in INTEGER_KEYS
+        valid = not integer or isinstance(value, int)
         try:
-            in_domain(field, value, DOMAINS[section, field])
-        except ValueError:
+            in_domain(field, value if integer else float(value), DOMAINS[section, field])
+        except (ValueError, OverflowError):  # OverflowError: an int beyond the float range
             valid = False
     if not valid:
         assert code == 2, err
@@ -156,3 +166,91 @@ def test_the_readme_lists_every_domain():
     text = README.read_text()
     for (section, field), domain in DOMAINS.items():
         assert f"`{section}.{field}`: {domain}" in text
+
+
+# ------------------------------------------------------- the domain tables
+
+MAX = sys.float_info.max
+BELOW_1, ABOVE_1 = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+
+# each domain of DOMAINS, the values it takes and those it refuses: its
+# ends, their float neighbours, the infinities and NaN
+DOMAIN_TABLE = {
+    "[0, 1)": ([0.0, -0.0, 5e-324, 0.5, BELOW_1],
+               [-5e-324, -1.0, 1.0, ABOVE_1, MAX, math.inf, -math.inf, math.nan]),
+    "(0, 1]": ([5e-324, 0.5, BELOW_1, 1.0],
+               [0.0, -0.0, -5e-324, ABOVE_1, math.inf, -math.inf, math.nan]),
+    "(0, inf]": ([5e-324, 1.0, MAX, math.inf], [0.0, -0.0, -5e-324, -math.inf, math.nan]),
+    "(0, inf)": ([5e-324, 1.0, MAX], [0.0, -0.0, -5e-324, math.inf, -math.inf, math.nan]),
+    "[0, inf)": ([0.0, -0.0, 5e-324, MAX], [-5e-324, -1.0, math.inf, -math.inf, math.nan]),
+    "(-inf, inf)": ([-MAX, -0.0, 0.0, MAX], [math.inf, -math.inf, math.nan]),
+    "[-inf, 0)": ([-math.inf, -MAX, -5e-324], [0.0, -0.0, 5e-324, 1.0, math.inf, math.nan]),
+    # an integer count; a float NaN or inf is refused by the class as well
+    # as by the config's type check
+    "[2, inf)": ([2, 3, 512, 2**64, 10**400],
+                 [1, 0, -1, -(10**400), math.nan, math.inf, -math.inf]),
+}
+
+# the rules between fields, which a domain table leaves to the table below
+CROSS_RULES = ("start must lie below stop", "vbw must not exceed rbw", "relax_fwhm must be below")
+
+
+def domain_refusal(cls, field, value):
+    """How cls refuses value for field by the field's own domain, as (class,
+    message), or None if it takes it there; a refusal by a rule between
+    fields is not one."""
+    try:
+        cls(**{field: value})
+    except ValueError as exc:
+        if not str(exc).startswith(CROSS_RULES):
+            return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("section, field", DOMAINS)
+def test_each_config_field_takes_and_refuses_its_domain(section, field):
+    domain = DOMAINS[section, field]
+    cls = type(getattr(default_config(), section))
+    takes, refuses = DOMAIN_TABLE[domain]
+    for value in takes:
+        assert domain_refusal(cls, field, value) is None, value
+    for value in refuses:
+        if field == "pump_ratio" and value >= 1:
+            want = (AboveThresholdError, f"pump_ratio must be < 1 below threshold, got {value}")
+        else:
+            want = (ValueError, f"{field} must lie in {domain}, got {value!r}")
+        assert domain_refusal(cls, field, value) == want
+
+
+# fields together, and the refusal's first words (None: taken)
+WIDEST = {amp: 2 * math.sqrt(MAX / amp) for amp in (1.0, 1.2, 1e300)}
+CROSS_TABLE = [
+    ("analyzer", {"start": 1e6, "stop": 1e6}, "start must lie below stop"),
+    ("analyzer", {"start": 2e6, "stop": 1e6}, "start must lie below stop"),
+    ("analyzer", {"start": 1e6, "stop": math.nextafter(1e6, 2e6)}, None),
+    ("analyzer", {"start": 5e-324, "stop": math.nextafter(5e-324, 1.0)}, None),
+    ("analyzer", {"rbw": 300.0, "vbw": 300.0}, None),
+    ("analyzer", {"rbw": 300.0, "vbw": math.nextafter(300.0, 301.0)}, "vbw must not exceed rbw"),
+    ("analyzer", {"rbw": 5e-324, "vbw": 5e-324}, None),
+    # relax_fwhm stays below where max(1, relax_amp_plus, relax_amp_minus)
+    # (relax_fwhm/2)^2 overflows: the defaults' 1.2, no excess, and 1e300
+    ("noise", {"relax_fwhm": math.nextafter(WIDEST[1.2], 0.0)}, None),
+    ("noise", {"relax_fwhm": WIDEST[1.2]}, "relax_fwhm must be below"),
+    ("noise", {"relax_fwhm": MAX}, "relax_fwhm must be below"),
+    ("noise", {"relax_amp_plus": 0.0, "relax_amp_minus": 0.0,
+               "relax_fwhm": math.nextafter(WIDEST[1.0], 0.0)}, None),
+    ("noise", {"relax_amp_plus": 0.0, "relax_amp_minus": 0.0, "relax_fwhm": WIDEST[1.0]},
+     "relax_fwhm must be below"),
+    ("noise", {"relax_amp_plus": 1e300, "relax_fwhm": math.nextafter(WIDEST[1e300], 0.0)}, None),
+    ("noise", {"relax_amp_plus": 1e300}, "relax_fwhm must be below"),
+]
+
+
+@pytest.mark.parametrize("section, fields, refusal", CROSS_TABLE)
+def test_rules_between_fields_take_and_refuse_as_tabled(section, fields, refusal):
+    cls = type(getattr(default_config(), section))
+    if refusal is None:
+        cls(**fields)
+    else:
+        with pytest.raises(ValueError, match=f"^{refusal}"):
+            cls(**fields)

@@ -11,11 +11,13 @@ from sqzsim import (
     PulsedWindow,
     Spectrum,
     clamp_to_shot_below,
+    default_config,
     flat_window_variance,
     improvement_factor,
     pulsed_variance,
     pulsed_variance_with_error,
     squeezed_variance,
+    total_spectrum,
 )
 from sqzsim.pulsed import _GL_NODES, _GL_WEIGHTS, _lobe_table, _sinc2
 
@@ -118,14 +120,77 @@ def test_clamp_only_acts_below_knee():
     assert clamped(2e5) == 1.7
 
 
+@pytest.mark.parametrize("knee", [0.0, -0.0, -1.0, math.nan])
+def test_clamp_refuses_a_knee_that_is_not_positive(knee):
+    with pytest.raises(ValueError, match="knee frequency must be positive"):
+        clamp_to_shot_below(Spectrum.flat(1.0), knee)
+
+
+def readonly(a):
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def test_the_clamp_does_not_write_the_spectrum_it_wraps():
+    # the knee lies inside the band, so both branches of the clamp act; a
+    # write to the read-only result would raise
+    cfg = default_config()
+    band = 1e3 + 2e3 * np.arange(50_000)
+    levels = readonly(total_spectrum(cfg.opo, cfg.noise, "minus")(band))
+    clamped = clamp_to_shot_below(lambda f: levels, 2e6)(band)
+    assert clamped.flags.writeable
+    below = band < 2e6
+    assert np.any(levels[below] > 1.0) and np.any(levels[below] < 1.0)
+    assert clamped[below].tobytes() == np.minimum(levels[below], 1.0).tobytes()
+    assert clamped[~below].tobytes() == levels[~below].tobytes()
+
+
+@pytest.mark.parametrize("result, want", [
+    # a wrapped result of another shape than f: a scalar, and a column
+    (1.7, [[1.0, 1.7, 1.7]]),
+    (np.array([0.4, 1.2, 3.0])[:, None], [[0.4, 0.4, 0.4], [1.0, 1.2, 1.2], [1.0, 3.0, 3.0]]),
+])
+def test_the_clamp_broadcasts_a_result_against_f(result, want):
+    got = clamp_to_shot_below(lambda f: result, 1e5)(np.array([[1e3, 1e5, 1e7]]))
+    assert got.shape == np.shape(want)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+# wrapped values, and what the clamp makes of them below the knee: NaN,
+# -inf and -0.0 pass, and only what exceeds 1.0 is capped
+LEVELS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0,
+          np.nextafter(1.0, 2.0), 3.0, np.finfo(float).max)
+CAPPED = (math.nan, 1.0, -math.inf, -0.0, 0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0,
+          1.0, 1.0, 1.0)
+
+
+def test_the_clamp_keeps_special_spectrum_values():
+    # below, at and above the knee of 5e4 Hz; each wrapped result is
+    # read-only, and a write would raise
+    f = np.array([1e3, 5e4, 1e6])
+    for level, capped in zip(LEVELS, CAPPED):
+        got = clamp_to_shot_below(lambda f, r=readonly(level): r, 5e4)(f)
+        assert got.tobytes() == np.array([capped, level, level]).tobytes(), level
+        scalar = clamp_to_shot_below(lambda f: level, 5e4)(1e3)
+        assert type(scalar) is float and np.array(scalar).tobytes() == np.array(capped).tobytes()
+    column = clamp_to_shot_below(lambda f: readonly(LEVELS)[:, None], 5e4)(f)
+    assert column.tobytes() == np.array([CAPPED, LEVELS, LEVELS]).T.tobytes()
+    for at, want in ((1e3, CAPPED), (5e4, LEVELS), (1e6, LEVELS)):
+        got = clamp_to_shot_below(lambda f: readonly(LEVELS), 5e4)(np.full(len(LEVELS), at))
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 def test_window_validation():
-    for bad in (0.0, -1e-6, math.inf, math.nan):
+    for bad in (0.0, -0.0, -1e-6, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match=r"duration must lie in \(0, inf\)"):
             PulsedWindow(duration=bad)
     # the near field ends at 1000 / T, which must be a float
     for short in (5e-324, 1e-306):
         with pytest.raises(ValueError, match="too short"):
             PulsedWindow(duration=short)
+    for t in (1000 / np.finfo(float).max * (1 + 1e-15), 1.0, np.finfo(float).max):
+        PulsedWindow(duration=t)
 
 
 # far-field quantities beyond the float range are inf, without a warning: at
@@ -370,10 +435,10 @@ class _Counting:
 def test_one_spectrum_call_besides_the_lobe_table(spectrum, far_bp):
     counting = _Counting(spectrum)
     pulsed_variance_with_error(counting, T_1US)
-    # no refinement: six chunks of the 1000 x 24 lobe table, and one call for
-    # the rest, whose first points are the far-field breakpoints, the floats
-    # just below them, then x
-    assert len(counting.calls) == 7
+    # no refinement: three chunks of the 1000 x 24 lobe table, and one call
+    # for the rest, whose first points are the far-field breakpoints, the
+    # floats just below them, then x
+    assert len(counting.calls) == 4
     first = counting.calls[0]
     lead = np.concatenate((far_bp, np.nextafter(far_bp, 0.0), [1000 / T_1US.duration]))
     assert first[: lead.size].tobytes() == lead.tobytes()

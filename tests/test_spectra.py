@@ -1,5 +1,12 @@
+import hashlib
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from sqzsim import (
@@ -19,6 +26,9 @@ from sqzsim import (
     to_db,
     total_spectrum,
 )
+from sqzsim.classical_noise import MODES
+from sqzsim.opo import _check_freq
+from sqzsim.pulsed import _checked
 
 
 def test_flat_scalar_and_array():
@@ -102,3 +112,248 @@ def test_a_scalar_gets_the_bits_of_a_one_element_array():
     counts["from_db"] = _scalar_disagreements(from_db, db)
     counts["to_db"] = _scalar_disagreements(to_db, from_db(db))
     assert counts == dict.fromkeys(counts, 0)
+
+
+# ------------------------------------------ the chain maps against mpmath
+
+EPS = np.finfo(float).eps
+
+
+def exact_chain(opo, noise, det, f, mode):
+    """Each chain map at f in 200-bit arithmetic, from the closed forms of
+    the module docstrings, with the float parameters and f taken exactly."""
+    with mpmath.workprec(200):
+        m = mpmath.mpf
+        f, sig, eta = m(float(f)), m(opo.pump_ratio), m(opo.escape_efficiency)
+        x2 = (f / m(opo.cavity_hwhm)) ** 2
+        a, b = (1 - sig) ** 2 + x2, (1 + sig) ** 2 + x2
+        hw = m(noise.relax_fwhm) / 2
+        lorentz = m(noise.relax_amp(mode)) * hw**2 / ((f - m(noise.relax_center)) ** 2 + hw**2)
+        lowfreq = m(noise.lf_amp) * (m(noise.lf_knee) / f) ** m(noise.lf_exponent)
+        eta_det = m(det.quantum_efficiency) * m(det.visibility) ** 2
+        out = {
+            "squeezed_variance": eta * (a / b) + (1 - eta),
+            "antisqueezed_variance": eta * (b / a) + (1 - eta),
+            "excess_noise": lorentz + lowfreq,
+        }
+        out["total_spectrum"] = out["squeezed_variance"] + out["excess_noise"]
+        out["observe_corrected"] = eta_det * out["total_spectrum"] + (1 - eta_det)
+        out["observe"] = out["observe_corrected"] + m(det.dark_linear)
+        return out
+
+
+def chain_maps(opo, noise, det, mode):
+    total = total_spectrum(opo, noise, mode)
+    return {
+        "squeezed_variance": lambda f: squeezed_variance(opo, f),
+        "antisqueezed_variance": lambda f: antisqueezed_variance(opo, f),
+        "excess_noise": lambda f: excess_noise(noise, f, mode),
+        "total_spectrum": total,
+        "observe_corrected": observe_corrected(total, det),
+        "observe": observe(total, det),
+    }
+
+
+def worst_relative_error(opo, noise, det, freqs):
+    """The largest |got - exact| / (eps |exact|) of each map over freqs and
+    both modes. Every term of every map is >= 0, so |exact| is the sum of
+    the terms' magnitudes, and a forward error bound is relative to it."""
+    worst = {}
+    for mode in ("plus", "minus"):
+        got = {name: fn(freqs) for name, fn in chain_maps(opo, noise, det, mode).items()}
+        for i, f in enumerate(freqs):
+            exact = exact_chain(opo, noise, det, f, mode)
+            for name, value in got.items():
+                err = abs(mpmath.mpf(float(value[i])) - exact[name])
+                err = err / (EPS * exact[name]) if exact[name] else math.inf if err else 0.0
+                worst[name] = max(worst.get(name, 0.0), float(err))
+    return worst
+
+
+def test_the_chain_at_the_defaults_is_within_4_eps_of_mpmath():
+    # measured: at most 2.6 eps, on antisqueezed_variance
+    freqs = np.geomspace(1.0, 1e9, 2_000)
+    worst = worst_relative_error(OpoParams(), ClassicalNoiseConfig(), DetectionParams(), freqs)
+    assert max(worst.values()) <= 4.0, worst
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(
+    st.builds(OpoParams,
+              pump_ratio=st.floats(0.0, 0.99),
+              cavity_hwhm=st.floats(1e5, 1e9),
+              escape_efficiency=st.floats(0.01, 1.0)),
+    st.builds(ClassicalNoiseConfig,
+              relax_center=st.floats(1e4, 1e8),
+              relax_fwhm=st.floats(1e3, 1e7),
+              relax_amp_plus=st.floats(0.0, 3.0),
+              relax_amp_minus=st.floats(0.0, 3.0),
+              lf_knee=st.floats(1e3, 1e6),
+              lf_exponent=st.floats(-4.0, 4.0),
+              lf_amp=st.floats(0.0, 2.0)),
+    st.builds(DetectionParams,
+              quantum_efficiency=st.floats(0.01, 1.0),
+              visibility=st.floats(0.01, 1.0),
+              dark_noise_db=st.sampled_from([-np.inf, -20.0, -6.0, -0.5])),
+))
+def test_the_chain_of_any_config_is_within_a_few_eps_of_mpmath(config):
+    # (lf_knee / f) rounds once, and the power multiplies that relative
+    # error by |lf_exponent|; measured at most (1 + |p|) eps over 60 configs
+    freqs = np.geomspace(1.0, 1e9, 64)
+    worst = worst_relative_error(*config, freqs)
+    bound = 4.0 + abs(config[1].lf_exponent)
+    assert max(worst.values()) <= bound, worst
+
+
+# ------------------------------------------------- the chain's frozen bits
+
+SPECIAL = (5e-324, 1e154, 1e162, 1e300, np.inf, np.nan)
+# with the default parameters numpy's scalar power and the array loop's x*x
+# round (f / cavity_hwhm)^2 differently at the first two of these and
+# (f - relax_center)^2 at the last two (see elementwise)
+POWER_SENSITIVE = (9764694.0, 6406304.0, 55537040.5, 60769785.5)
+SCALARS = (1.0, 5e4, 1e6, 3.5e6, *POWER_SENSITIVE, *SPECIAL)
+# frequencies whose bits no host's libm can move: the scalars, 1, 1.25 and
+# 1.75 times every power of two of the float range, and 1 kHz to 100 MHz in
+# steps of 2 kHz
+GRID = np.concatenate((
+    SCALARS, np.ldexp(np.array([1.0, 1.25, 1.75])[:, None], np.arange(-1074, 1024)).ravel(),
+    1e3 + 2e3 * np.arange(50_000)))
+GRID.flags.writeable = False
+
+CONFIGS = {
+    "defaults": (OpoParams(), ClassicalNoiseConfig(), DetectionParams()),
+    "no excess": (OpoParams(), ClassicalNoiseConfig.zero(), DetectionParams()),
+}
+
+
+def frozen_maps(opo, noise, det):
+    """Every chain map of both modes, and the feedback clamp of each
+    detected mode at the knee."""
+    maps = {}
+    for mode in ("plus", "minus"):
+        for name, fn in chain_maps(opo, noise, det, mode).items():
+            maps[name if name.endswith("variance") else f"{name} {mode}"] = fn
+        maps[f"clamp_to_shot_below {mode}"] = clamp_to_shot_below(
+            maps[f"observe_corrected {mode}"], noise.lf_knee)
+    return maps
+
+
+def digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()[:16]
+
+
+# sha256 of each map's little-endian float64 values on GRID, frozen: a
+# deliberate numeric change refreezes these and lists the maps that moved
+FROZEN_DIGESTS = {
+    "defaults": {
+        "squeezed_variance": "f41677d043f06560",
+        "antisqueezed_variance": "ee5fb61ffc487be8",
+        "excess_noise plus": "192f627f7a9e4813",
+        "total_spectrum plus": "7017f363ff6f457d",
+        "observe_corrected plus": "4520ccfc4f4490ec",
+        "observe plus": "4e5651717f73f802",
+        "clamp_to_shot_below plus": "05ed42ea4518a51f",
+        "excess_noise minus": "bca88be0c9c73af7",
+        "total_spectrum minus": "e9a0e1364353cd95",
+        "observe_corrected minus": "89ff3701507e1571",
+        "observe minus": "9239bb1eb91e0a94",
+        "clamp_to_shot_below minus": "6d5fb1d0587b80f8",
+    },
+    # no excess: the total is the squeezed variance, and the clamp acts on
+    # nothing, bit for bit
+    "no excess": {
+        "squeezed_variance": "f41677d043f06560",
+        "antisqueezed_variance": "ee5fb61ffc487be8",
+        "excess_noise plus": "2cfaebe1b1bf4a05",
+        "total_spectrum plus": "f41677d043f06560",
+        "observe_corrected plus": "68ae5c7696ad11c7",
+        "observe plus": "9730c3c750913480",
+        "clamp_to_shot_below plus": "68ae5c7696ad11c7",
+        "excess_noise minus": "2cfaebe1b1bf4a05",
+        "total_spectrum minus": "f41677d043f06560",
+        "observe_corrected minus": "68ae5c7696ad11c7",
+        "observe minus": "9730c3c750913480",
+        "clamp_to_shot_below minus": "68ae5c7696ad11c7",
+    },
+}
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_the_chain_maps_keep_their_frozen_bits(config):
+    got = {}
+    for name, fn in frozen_maps(*CONFIGS[config]).items():
+        values = fn(GRID)
+        assert values.flags.writeable and values.dtype == float
+        assert fn(GRID.copy()).tobytes() == values.tobytes()
+        # a scalar, as a float or as a 0-d array, gets the array's bits
+        for f, at in zip(SCALARS, values):
+            for scalar in (f, np.array(f)):
+                value = fn(scalar)
+                assert type(value) is float
+                assert np.array(value).tobytes() == at.tobytes(), (name, f)
+        got[name] = digest(values)
+    assert got == FROZEN_DIGESTS[config]
+
+
+# ------------------------------------------------------------ range checks
+
+NEGATIVE, NOT_POSITIVE = "sideband frequency must be >= 0", "excess noise is defined for f > 0 only"
+UNBOUNDED = ("spectrum is unbounded on the integration range; if it diverges at low frequency, "
+             "clamp it (e.g. clamp_to_shot_below) to model a feedback-stabilized source")
+NEGATIVE_SPECTRUM = "spectrum is negative on the integration range"
+
+# an input, and what each check makes of it: the OPO's f >= 0, the excess
+# noise's f > 0, and the pulsed engine's finite spectrum >= 0 (None: taken)
+RANGE_CHECKS = [
+    (np.empty(0), None, None, None),
+    (np.empty((0, 3)), None, None, None),
+    (np.array(-0.0), None, NOT_POSITIVE, None),
+    (np.array([0.0, 1.0]), None, NOT_POSITIVE, None),
+    (np.array([5e-324]), None, None, None),
+    (np.array([-5e-324]), NEGATIVE, NOT_POSITIVE, NEGATIVE_SPECTRUM),
+    (np.array([[1.0], [-1.0]]), NEGATIVE, NOT_POSITIVE, NEGATIVE_SPECTRUM),
+    (np.array([1.0, np.nan]), None, None, UNBOUNDED),
+    (np.array([np.nan, -1.0]), NEGATIVE, NOT_POSITIVE, UNBOUNDED),
+    (np.array([2.0, np.inf]), None, None, UNBOUNDED),
+    (np.array([np.inf, -1.0]), NEGATIVE, NOT_POSITIVE, UNBOUNDED),
+    (np.array([-np.inf, 2.0]), NEGATIVE, NOT_POSITIVE, UNBOUNDED),
+]
+
+
+def refusal(fn, *args):
+    """The message fn(*args) refuses with, or None if it takes them."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def range_checks(a):
+    """What each check makes of the read-only array a."""
+    a.flags.writeable = False
+    outcomes = (refusal(_check_freq, a),
+                *{refusal(excess_noise, ClassicalNoiseConfig(), a, mode) for mode in MODES},
+                refusal(_checked(lambda nu: a), None))
+    assert len(outcomes) == 3, "the modes' checks differ"
+    return outcomes
+
+
+@pytest.mark.parametrize("a, freq, excess, spectrum", RANGE_CHECKS)
+def test_range_checks_take_and_refuse_as_tabled(a, freq, excess, spectrum):
+    assert range_checks(a) == (freq, excess, spectrum)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+                  elements=st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, -1.0,
+                                                      5e-324, -5e-324]),
+                                     st.floats(allow_nan=True, allow_infinity=True))))
+def test_range_checks_refuse_exactly_the_out_of_range_inputs(a):
+    # NaN is no frequency below 0, and no spectrum value is finite but NaN
+    want = (NEGATIVE if (a < 0).any() else None,
+            NOT_POSITIVE if (a <= 0).any() else None,
+            UNBOUNDED if not np.isfinite(a).all() else
+            NEGATIVE_SPECTRUM if (a < 0).any() else None)
+    assert range_checks(a) == want
