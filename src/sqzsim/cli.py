@@ -24,7 +24,7 @@ from .classical_noise import total_spectrum
 from .config import ConfigError, RunConfig, _build_section, default_config, keyed, load_config
 from .detection import (
     effective_efficiency,
-    observe,  # not called here: perfbench's traced CLI run probes it by this name
+    observe,
     observe_corrected,
     observed_relative_to_shot,
     to_db,
@@ -315,20 +315,14 @@ def detected_record(
     """Photocurrent record of one mode ("plus", "minus") or of the blocked
     source ("shot"), as the detector delivers it.
 
-    The losses and the signal are shaped into one series from sub-seed 0;
-    the electronic noise is added as independent white samples from
-    sub-seed 1. The record carries cfg's seed.
+    The source's observed spectrum, losses and electronic floor included,
+    is shaped into one series from sub-seed 0. The record carries cfg's seed.
     """
     seed = cfg.require_seed()
-    shaped_seed, dark_seed = _sub_seeds(seed, 2)
-    base = Spectrum.flat(1.0) if mode == "shot" else _mode_spectra(cfg)[1][mode]
-    samples = synthesize(base, sample_rate, n_samples, shaped_seed).samples
-    dark = cfg.detection.dark_linear
-    if dark > 0:
-        noise = np.random.default_rng(dark_seed).standard_normal(n_samples)
-        noise *= math.sqrt(dark)
-        samples += noise
-    return TimeSeries(sample_rate=sample_rate, samples=samples, seed=seed)
+    source = Spectrum.flat(1.0) if mode == "shot" else total_spectrum(cfg.opo, cfg.noise, mode)
+    detected = observe(source, cfg.detection)
+    ts = synthesize(detected, sample_rate, n_samples, _sub_seeds(seed, 1)[0])
+    return dataclasses.replace(ts, seed=seed)
 
 
 def cmd_synth(cfg: RunConfig, args) -> None:

@@ -6,8 +6,9 @@ Conventions, fixed so golden outputs stay stable:
   to V over [0, fs/2]. Unit-variance white noise is flat at 2/fs.
 * A shot-normalized spectrum value of 1.0 synthesizes to samples of unit
   variance (SHOT_NOISE_VARIANCE below).
-* Synthesis draws and scales the Fourier bins as the whole-array form
-  does, so records are byte-identical to it (see synthesize).
+* Synthesis draws one (real, imaginary) pair of standard normals per
+  Fourier bin, in frequency order from df to fs/2, from one generator
+  seeded with the caller's seed (see synthesize).
 * Welch: periodic Hann window, 50% overlap, no detrending, computed in
   numpy (no scipy import) over a read-only strided view of the segments.
 * Analyzer emulation: Gaussian resolution-bandwidth kernel (FWHM = rbw),
@@ -20,7 +21,6 @@ bit for bit from (inputs, seed).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,18 +135,14 @@ def synthesize(spectrum, sample_rate: float, n_samples: int, seed: int) -> TimeS
     is never evaluated at f = 0. A flat spectrum of value 1.0 yields sample
     variance SHOT_NOISE_VARIANCE.
 
-    The bins are the only record-sized array before the transform. The
-    spectrum is evaluated on this thread, _SYNTH_BLOCK frequencies at a
-    time, and the amplitudes sqrt(n S(f)) are parked in the imaginary
-    slots; meanwhile one helper thread draws the real parts. After the join
-    each block is finished in cache: the real part is multiplied by the
-    amplitude and then by 1/sqrt(2), and the imaginary normals, drawn next,
-    the same way, over the amplitude; the Nyquist bin comes last. The
-    stream order (real parts, imaginary parts, Nyquist), the frequencies
-    (np.fft.rfftfreq's, bit for bit) and the operations on each element are
-    those of ``amps * (re + 1j*im) / sqrt(2)``, as numpy divides a complex
-    array by a real scalar by multiplying with its reciprocal, so records
-    keep their bytes.
+    Bin k, at k df with df = fs / n (np.fft.rfftfreq's frequencies, bit
+    for bit), is (x_k + i y_k) sqrt(n S(k df) / 2), where (x_k, y_k) is the
+    k-th pair of default_rng(seed).standard_normal, k = 1 .. n/2. The
+    Nyquist bin k = n/2 is real, x_k sqrt(n S), as it has no twin; its y_k
+    is drawn and discarded. The bins are the only record-sized array before
+    the transform: the spectrum is evaluated, checked and turned into
+    amplitudes _SYNTH_BLOCK frequencies at a time, and each block's normals
+    are drawn straight into its bins and scaled there.
     """
     n_samples, df = record_grid(sample_rate, n_samples)
     samples = np.fft.irfft(_fourier_bins(spectrum, df, n_samples, seed), n_samples)
@@ -170,70 +166,44 @@ def record_grid(sample_rate: float, n_samples) -> tuple[int, float]:
 
 
 def _fourier_bins(spectrum, df: float, n_samples: int, seed: int) -> np.ndarray:
-    """The scaled Fourier bins of synthesize; the block temporaries and the
-    helper thread are gone when this returns, before the transform."""
+    """The scaled Fourier bins of synthesize, filled _SYNTH_BLOCK bins at a
+    time: the block's spectrum, its checks, its amplitudes, its normals and
+    its scaling, in one pass; only the bins outlive the loop."""
     half = n_samples // 2
     rng = np.random.default_rng(seed)
     bins = np.empty(half + 1, dtype=complex)
     bins[0] = 0.0
-    re, amps = bins.real[1:-1], bins.imag[1:]
-    block = np.empty(min(_SYNTH_BLOCK, re.size))
-    failed = []
-
-    def draw_real_parts():
-        # touches only the generator and bins.real
-        try:
-            for a in range(0, re.size, _SYNTH_BLOCK):
-                z = block[: min(_SYNTH_BLOCK, re.size - a)]
-                rng.standard_normal(out=z)
-                re[a:a + z.size] = z
-        except BaseException as exc:  # re-raised on the calling thread
-            failed.append(exc)
-
-    helper = threading.Thread(target=draw_real_parts, name="synthesize-real-parts")
-    helper.start()
-    try:
-        f_bad = None
-        for a in range(0, half, _SYNTH_BLOCK):
-            freqs = np.arange(a + 1, min(a + _SYNTH_BLOCK, half) + 1) * df
-            target = np.asarray(spectrum(freqs), dtype=float)
-            if not np.isfinite(target).all():
-                raise ValueError("spectrum must be finite on (0, sample_rate/2]")
-            if f_bad is None:
-                negative = target < 0
-                if negative.any():
-                    f_bad = float(freqs[negative][0])
-                    continue
-                # written out of place: the spectrum's own result may be
-                # read-only or shared
-                amp = amps[a:a + freqs.size]
-                with np.errstate(over="ignore"):
-                    np.multiply(n_samples, target, out=amp)
-                if amp.max() == np.inf:
-                    i = int(amp.argmax())
-                    raise ValueError(
-                        f"spectrum is {target[i]:.6g} at {freqs[i]:.6g} Hz, too large for "
-                        f"a record of {n_samples} samples: n S leaves the float range")
-                np.sqrt(amp, out=amp)
-    finally:
-        helper.join()
+    pairs = bins.view(float).reshape(half + 1, 2)  # each bin's (real, imag)
+    f_bad = None
+    for a in range(0, half, _SYNTH_BLOCK):
+        freqs = np.arange(a + 1, min(a + _SYNTH_BLOCK, half) + 1) * df
+        target = np.asarray(spectrum(freqs), dtype=float)
+        if not np.isfinite(target).all():
+            raise ValueError("spectrum must be finite on (0, sample_rate/2]")
+        if f_bad is not None:
+            continue
+        negative = target < 0
+        if negative.any():
+            f_bad = float(freqs[negative][0])
+            continue
+        # out of place: the spectrum's own result may be read-only or shared
+        with np.errstate(over="ignore"):
+            amp = np.multiply(n_samples, target)
+        if amp.max() == np.inf:
+            i = int(amp.argmax())
+            raise ValueError(
+                f"spectrum is {target[i]:.6g} at {freqs[i]:.6g} Hz, too large for "
+                f"a record of {n_samples} samples: n S leaves the float range")
+        # a bin with a negative-frequency twin splits n S between its two
+        # parts; the Nyquist bin, last of the last block, has none
+        amp[:half - 1 - a] *= 0.5
+        np.sqrt(amp, out=amp)
+        z = pairs[a + 1:a + 1 + amp.size]
+        rng.standard_normal(out=z)
+        z *= amp[:, None]
     if f_bad is not None:
         raise ValueError(f"spectrum is negative at {f_bad:.6g} Hz")
-    if failed:
-        raise failed[0]
-
-    scale = 1.0 / np.sqrt(2.0)
-    for a in range(0, re.size, _SYNTH_BLOCK):
-        part = re[a:a + _SYNTH_BLOCK]
-        amp = amps[a:a + part.size]
-        part *= amp
-        part *= scale
-        z = block[: amp.size]
-        rng.standard_normal(out=z)
-        z *= amp
-        z *= scale
-        amp[...] = z
-    bins[-1] = amps[-1] * rng.standard_normal()
+    pairs[-1, 1] = 0.0  # the Nyquist bin is real
     return bins
 
 
@@ -244,7 +214,7 @@ def welch_psd(ts: TimeSeries, rbw: float) -> TabulatedSpectrum:
     Hann window, 50% overlap, no detrending, density normalization (the PSD
     integrates to the sample variance over [0, fs/2]). Trailing samples that
     do not fill a segment are dropped (Welch, IEEE Trans. Audio Electroacoust.
-    15, 1967).
+    15, 1967), but like every other sample they must be finite.
     """
     in_domain("rbw", rbw, f"(0, {2.0 * ts.sample_rate!r})")
     # the smallest power of two whose bin spacing is at most rbw / 2; inf
@@ -270,7 +240,10 @@ def welch_psd(ts: TimeSeries, rbw: float) -> TabulatedSpectrum:
             power += (spec.real**2 + spec.imag**2).sum(axis=0)
         psd = power / (ts.sample_rate * np.sum(window**2) * len(segments))
         psd[1:-1] *= 2.0  # one-sided: fold in the negative frequencies
-    if not np.isfinite(psd).all():
+    # the samples after the last full segment, fewer than a hop, are read
+    # only here
+    tail = ts.samples[(len(segments) - 1) * (nperseg // 2) + nperseg:]
+    if not (np.isfinite(psd).all() and np.isfinite(tail).all()):
         bad = np.flatnonzero(~np.isfinite(ts.samples))
         if bad.size:
             raise ValueError(f"record sample {bad[0]} is {float(ts.samples[bad[0]])!r}: "

@@ -4,7 +4,7 @@ Time-series format (little-endian throughout):
 
     offset 0   magic  "SQTS" (4 bytes)
     offset 4   u32    version, currently 1
-    offset 8   f64    sample_rate in Hz
+    offset 8   f64    sample_rate in Hz, in (0, inf)
     offset 16  u64    n_samples
     offset 24  u64    seed
     offset 32  f64[n_samples] samples
@@ -69,6 +69,10 @@ def read_timeseries(path) -> TimeSeries:
         if version != VERSION:
             raise TimeSeriesFormatError(
                 f"unsupported version {version} at byte offset 4, expected {VERSION}"
+            )
+        if not 0 < sample_rate < np.inf:
+            raise TimeSeriesFormatError(
+                f"bad sample rate {sample_rate!r} at byte offset 8, expected one in (0, inf)"
             )
         expected = _HEADER.size + 8 * n_samples
         if size == expected:

@@ -489,17 +489,18 @@ print((hwm() - base) / 8000, cli.SPECTRUM_PEAK_PER_POINT)
     assert per_point <= bound, f"spectrum peaked at {per_point:.0f} bytes per point"
 
 
-def test_detected_record_adds_the_dark_noise_of_one_draw():
-    # the record must equal the shaped series plus sqrt(dark) times one
-    # standard_normal(n) draw
+@pytest.mark.parametrize("mode", ["shot", "minus"])
+def test_detected_record_is_one_synthesis_of_the_observed_spectrum(mode):
+    # the electronic floor comes with observe's spectrum, not from a second draw
     cfg = default_config()
     n = 2**18
-    shaped_seed, dark_seed = cli._sub_seeds(cfg.require_seed(), 2)
-    shaped = sqzsim.synthesize(sqzsim.Spectrum.flat(1.0), 25e6, n, shaped_seed).samples
-    dark = np.random.default_rng(dark_seed).standard_normal(n)
-    want = shaped + math.sqrt(cfg.detection.dark_linear) * dark
-    got = cli.detected_record(cfg, "shot", 25e6, n).samples
-    assert got.tobytes() == want.tobytes()
+    source = (sqzsim.Spectrum.flat(1.0) if mode == "shot"
+              else sqzsim.total_spectrum(cfg.opo, cfg.noise, mode))
+    want = sqzsim.synthesize(sqzsim.observe(source, cfg.detection), 25e6, n,
+                             cli._sub_seeds(cfg.require_seed(), 1)[0])
+    got = cli.detected_record(cfg, mode, 25e6, n)
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.seed == cfg.require_seed()
 
 
 @pytest.mark.parametrize("given", ["nan", "inf", "-inf", "1.5", "0", "1", "3", "-4", "65537"])
@@ -536,6 +537,16 @@ def test_analyze_corrupt_magic_exits_4(tmp_path, capsys):
     bad.write_bytes(b"XXXX" + bytes(60))
     assert run("--out", tmp_path, "analyze", bad) == 4
     assert "offset 0" in capsys.readouterr().err
+
+
+def test_analyze_of_a_record_with_an_infinite_sample_rate_exits_4(tmp_path, capsys):
+    # the header is at fault, not the record's length
+    path = tmp_path / "inf.sqts"
+    write_timeseries(path, TimeSeries(math.inf, np.zeros(1024), 0))
+    assert run("--out", tmp_path / "out", "analyze", path) == 4
+    assert capsys.readouterr().err == (
+        "i/o error: bad sample rate inf at byte offset 8, expected one in (0, inf)\n")
+    assert not (tmp_path / "out").exists()
 
 
 # at fs = 25 MHz, 2 fs / rbw overflows; it does not, but its power of two does
@@ -749,11 +760,11 @@ def test_out_dir_of_the_wrong_type_is_a_config_error(tmp_path, capsys, monkeypat
 def test_a_warning_raised_as_an_error_is_a_numerical_error(tmp_path, capsys, monkeypatch,
                                                             command):
     # a model whose evaluation overflows; under python -W error numpy raises
-    # the warning
-    def overflowing(cfg):
+    # the warning. Every command builds its model spectra through this name
+    def overflowing(opo, noise, mode):
         return np.exp(np.array([1e3]))
 
-    monkeypatch.setattr(cli, "_mode_spectra", overflowing)
+    monkeypatch.setattr(cli, "total_spectrum", overflowing)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run("--seed", 1, "--out", tmp_path / "out", *command) == 3
@@ -866,7 +877,7 @@ def test_no_command_imports_scipy(tmp_path):
     # a fresh interpreter in which any scipy import raises; this one has
     # imported scipy for other tests
     script = """
-import sys
+import sys, threading
 sys.modules["scipy"] = None
 from sqzsim.cli import main
 from sqzsim.pulsed import _lobe_table
@@ -874,14 +885,18 @@ from sqzsim.pulsed import _lobe_table
 # the near-field lobe table is built on first use, not at import
 assert _lobe_table.cache_info().currsize == 0
 out = sys.argv[1]
+# no command starts a thread
+def no_thread(thread):
+    raise AssertionError(f"thread {thread.name} started")
+threading.Thread.start = no_thread
 assert main(["--out", out, "--seed", "1", "pulsed", "--example"]) == 0
 # np.unique would import numpy.ma on its first call
 assert "numpy.ma" not in sys.modules
 for argv in (["spectrum", "--points", "64"], ["synth", "--n-samples", "4096"],
              ["analyze", out + "/timeseries_minus.sqts"], ["criteria"]):
     assert main(["--out", out, "--seed", "1", *argv]) == 0, argv
-# synthesis draws on a plain threading.Thread, not an executor or a pool;
-# the Gauss-Legendre rules are written out, not taken from numpy.polynomial
+# no executor or pool is imported, and the Gauss-Legendre rules are written
+# out, not taken from numpy.polynomial
 for name in ("concurrent.futures", "multiprocessing", "numpy.polynomial"):
     assert name not in sys.modules, name
 """

@@ -65,14 +65,14 @@ def synth_spectrum(name):
     return observe_corrected(total_spectrum(cfg.opo, cfg.noise, "minus"), cfg.detection)
 
 
-# sha256 of synthesize(spectrum, 25 MHz, 2^16, seed).samples, frozen from a
-# build that formed the bins as amps * (re + 1j*im) / sqrt(2) in whole
-# arrays; a change here changes every .sqts record
+# sha256 of synthesize(spectrum, 25 MHz, 2^16, seed).samples, frozen from the
+# build that draws each bin's (real, imaginary) pair in frequency order; a
+# change here changes every .sqts record
 SYNTH_DIGESTS = {
-    ("flat", 1): "a6968ac62099752254c16b4333cee658edaf855df06e882c83d9a9ab1fad64cf",
-    ("flat", 42): "4694749312f2794843ce9a009d9bdc37633eb271203b61451842a8929a81f1bc",
-    ("model", 1): "1cdf3d09544eb3ec78cfd4f2ed9cf48c4236aac62d6d93eae3406de32c0935fc",
-    ("model", 42): "461f32fb7d75c4322d771fd0e3957fa157db70076c2b22b16e5fc7c4db5b2d34",
+    ("flat", 1): "24357e360e3a940efbaff55ef0c6df06702cda91823934b7dac64deea114e136",
+    ("flat", 42): "97fd6b7d8555ec2a937273632921eb115cf4eab7a9a73e778ed878b3c15f7ee3",
+    ("model", 1): "04b265731d7f7774fb5b192287a55216844d35dd592a275497da24e3de201533",
+    ("model", 42): "2312ced0e325a56b358da91dc2a5fa47beb0a84bfaa8768204084e314699b206",
 }
 
 
@@ -84,16 +84,16 @@ def test_synthesized_bytes_are_frozen(name, seed):
 
 # sha256 of synthesize(spectrum, 25 MHz, n, 1).samples at the edges of the
 # blocks the bins are filled in: n = 2 has only the Nyquist bin, 2^20 spans
-# 32 blocks. Frozen from the build that evaluated the spectrum in one call
+# 32 blocks. Frozen from the same build as SYNTH_DIGESTS
 EDGE_DIGESTS = {
     ("flat", 2): "14372daf0c375007e994fd3b4cf770554c41681d70c9c3a75120d51b000a9f08",
-    ("flat", 4): "015c7dafd545a46d04740d6fbcae5cad79586e5cefb9f3644011ab1b92064931",
-    ("flat", 2**10): "617b418ce3e3ed6ff7bcf1cd95c83a0c1a50d63f87a4badd79be3bae80f39e24",
-    ("flat", 2**20): "6ed61b7926321fa833a34d8b8757b69b770803ea6e4b39872ebeb2527b1331d9",
+    ("flat", 4): "94eebf600d7390335c29ace8d44647185797176348cf93fcf4178ea824f68177",
+    ("flat", 2**10): "89facdd64c0afc1797471597dfbe484812de7e6f8eb493bc242110cd4d28fc06",
+    ("flat", 2**20): "fdb01338ffd770bbf4543ea656401c8ffaf3ade981824f7acd6c103fd1876350",
     ("model", 2): "0aeb33ad2898e2ba407c5a1b774dcfcc2c26b712e32906e4c03234e59fd5d5bb",
-    ("model", 4): "ab343af0cc4d192b58588ae63b1eb9fc13cbd0ce74857498683adee46aee442a",
-    ("model", 2**10): "bf8982c3acba30772d399461796e05a93a9fb1252b5b54bbf09d92fdb8171332",
-    ("model", 2**20): "15aae49ef4e06aaf55cdc046107a48f212103ce348b5eda5efe504a0f52d7c89",
+    ("model", 4): "b00ac261f43bdfb4a175564c547888d3473f32e6471d09c8a9b00859d0667668",
+    ("model", 2**10): "e661b030562aa22f7285c4127fcce518e0f57b48ec99e217e3d096d6a36a87b4",
+    ("model", 2**20): "c8df54f96d677665fb7f9b57058af0054dd2343cf858eb833e99b4352d5fbfc5",
 }
 
 
@@ -101,6 +101,21 @@ EDGE_DIGESTS = {
 def test_synthesized_bytes_are_frozen_at_block_edges(name, n):
     ts = synthesize(synth_spectrum(name), 25e6, n, 1)
     assert hashlib.sha256(ts.samples.tobytes()).hexdigest() == EDGE_DIGESTS[name, n]
+
+
+@pytest.mark.parametrize("name", ["flat", "model"])
+@pytest.mark.parametrize("n", [2, 4, 2**10, 4 * _SYNTH_BLOCK])  # the last spans 2 blocks
+def test_synthesized_bins_are_the_seeds_normal_pairs_shaped_by_the_spectrum(name, n):
+    # rebuilt from the convention, not from the code: bin k = (x_k + i y_k)
+    # sqrt(n S / 2) for the k-th pair of normals, the Nyquist bin x sqrt(n S)
+    fs, seed = 25e6, 7
+    spectrum = synth_spectrum(name)
+    x, y = np.random.default_rng(seed).standard_normal((n // 2, 2)).T
+    s = spectrum(np.fft.rfftfreq(n, d=1.0 / fs)[1:])
+    want = np.concatenate([[0.0], (x + 1j * y) * np.sqrt(n * s / 2)])
+    want[-1] = x[-1] * np.sqrt(n * s[-1])
+    got = np.fft.rfft(synthesize(spectrum, fs, n, seed).samples)
+    assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def test_synthesize_names_a_negative_value_in_the_last_block():
@@ -133,26 +148,6 @@ def test_synthesize_failure_leaves_no_thread_running():
     assert threading.active_count() == before
 
 
-def test_a_failure_on_the_helper_thread_is_raised_on_the_caller(monkeypatch):
-    # the generator fails on any thread but the caller's
-    caller, default_rng = threading.get_ident(), np.random.default_rng
-
-    class FailingOffThread:
-        def __init__(self, seed):
-            self.rng = default_rng(seed)
-
-        def standard_normal(self, *args, **kwargs):
-            if threading.get_ident() != caller:
-                raise FloatingPointError("drawn off the calling thread")
-            return self.rng.standard_normal(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "default_rng", FailingOffThread)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="drawn off the calling thread"):
-        synthesize(Spectrum.flat(1.0), FS, 4 * _SYNTH_BLOCK, 1)
-    assert threading.active_count() == before
-
-
 def test_synthesize_calls_the_spectrum_on_the_calling_thread():
     seen = set()
 
@@ -165,8 +160,8 @@ def test_synthesize_calls_the_spectrum_on_the_calling_thread():
 
 
 def test_concurrent_syntheses_keep_their_bytes():
-    # more callers than cores, each with its own helper thread, switching
-    # often; every record must equal the one made alone
+    # more callers than cores, each with its own generator, switching often;
+    # every record must equal the one made alone
     spectrum, n, seeds = synth_spectrum("model"), 4 * _SYNTH_BLOCK, range(6)
     alone = [synthesize(spectrum, 25e6, n, seed).samples.tobytes() for seed in seeds]
     together = [None] * len(alone)
@@ -326,10 +321,13 @@ def test_welch_rejects_rbw_outside_zero_to_twice_the_sample_rate(rbw):
         welch_psd(ts, rbw)
 
 
-@pytest.mark.parametrize("at, value", [(0, np.nan), (700, np.nan), (1000, np.inf), (3, -np.inf)])
+@pytest.mark.parametrize("at, value", [(0, np.nan), (700, np.nan), (1000, np.inf), (3, -np.inf),
+                                       (1095, np.nan)])
 def test_welch_names_the_first_sample_that_is_not_finite(at, value):
-    # without a warning, and the first of them: a later one is also there
-    samples = np.ones(2**10)
+    # without a warning, and the first of them: a later one is also there.
+    # Segments of 128 cover 2^10 samples; in a record of 1,100 they end at
+    # sample 1087, and sample 1095 lies in the tail after them
+    samples = np.ones(max(2**10, at + 5))
     samples[at] = value
     samples[at + 1:] = np.nan
     with pytest.raises(ValueError, match=f"^record sample {at} is {value!r}: a PSD needs "

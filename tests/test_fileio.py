@@ -67,6 +67,19 @@ def test_truncated_header(tmp_path, ts):
         read_timeseries(path)
 
 
+@pytest.mark.parametrize("rate", [np.inf, np.nan, 0.0, -1.0])
+def test_bad_sample_rate_names_offset_eight(tmp_path, ts, rate):
+    # TimeSeries takes an infinite rate, but no record can have one
+    path = tmp_path / "rec.sqts"
+    write_timeseries(path, ts)
+    raw = bytearray(path.read_bytes())
+    raw[8:16] = np.float64(rate).astype("<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(TimeSeriesFormatError,
+                       match=rf"^bad sample rate {rate!r} at byte offset 8, expected one in"):
+        read_timeseries(path)
+
+
 def test_truncated_payload_names_offset(tmp_path, ts):
     path = tmp_path / "rec.sqts"
     write_timeseries(path, ts)
