@@ -344,11 +344,13 @@ def cmd_synth(cfg: RunConfig, args) -> None:
     print(path)
 
 
-def _trace_from_welch(ts: TimeSeries, rbw: float) -> Trace:
+def _trace_from_welch(ts: TimeSeries, rbw: float, name: str) -> Trace:
     psd = welch_psd(ts, rbw)
     freqs, values = psd.freqs[1:], psd.values[1:]  # DC bin carries no signal
-    if np.any(values <= 0):
-        raise ValueError("estimated PSD is not positive; record too short?")
+    empty = np.flatnonzero(values <= 0)  # a PSD is >= 0, so these bins hold no power
+    if empty.size:
+        raise ValueError(f"{name} has no power at {freqs[empty[0]]:.6g} Hz, "
+                         "where a dB trace needs a positive PSD")
     return Trace(freqs=freqs, values_db=to_db(values), rbw=rbw, vbw=rbw)
 
 
@@ -356,8 +358,9 @@ def cmd_analyze(cfg: RunConfig, args) -> None:
     rbw = cfg.analyzer.rbw if args.rbw is None else _finite_positive("--rbw", args.rbw, "rbw")
     # an rbw at or above 2 fs names its key; a record too short for it is exit 3
     with keyed(rbw="analyzer" if args.rbw is None else "--rbw"):
-        trace = _trace_from_welch(read_timeseries(args.input), rbw)
-        shot = _trace_from_welch(read_timeseries(args.shot), rbw) if args.shot else None
+        trace = _trace_from_welch(read_timeseries(args.input), rbw, f"record {args.input}")
+        shot = (_trace_from_welch(read_timeseries(args.shot), rbw, f"--shot record {args.shot}")
+                if args.shot else None)
     out = _out_dir(cfg)
     written = _emit_trace(trace, out, "trace_analyzed", args.format)
     if args.shot:

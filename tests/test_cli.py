@@ -549,6 +549,24 @@ def test_analyze_of_a_record_with_an_infinite_sample_rate_exits_4(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+def test_analyze_names_the_record_and_the_first_bin_with_no_power(tmp_path, capsys):
+    # an all-zero record is long enough for its Welch segments, but has no
+    # power to put on a dB scale; at 25 MHz and rbw 100 kHz the bins are
+    # 48828.125 Hz apart, and the DC bin is dropped
+    zero, good = tmp_path / "zero.sqts", tmp_path / "timeseries_shot.sqts"
+    write_timeseries(zero, TimeSeries(25e6, np.zeros(4096), 0))
+    assert run("--out", tmp_path, "synth", "--mode", "shot", "--n-samples", 4096) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for argv, name in (((zero,), f"record {zero}"),
+                       ((good, "--shot", zero), f"--shot record {zero}")):
+        assert run("--out", out, "analyze", *argv) == 3
+        assert capsys.readouterr().err == (
+            f"numerical error: {name} has no power at 48828.1 Hz, "
+            "where a dB trace needs a positive PSD\n")
+    assert not out.exists()
+
+
 # at fs = 25 MHz, 2 fs / rbw overflows; it does not, but its power of two does
 @pytest.mark.parametrize("rbw", ["5e-324", "5e-301"])
 def test_analyze_with_a_tiny_rbw_names_the_short_record(tmp_path, capsys, rbw):

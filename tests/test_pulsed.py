@@ -1,8 +1,11 @@
+import functools
+import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sqzsim import (
@@ -14,6 +17,7 @@ from sqzsim import (
     default_config,
     flat_window_variance,
     improvement_factor,
+    observe_corrected,
     pulsed_variance,
     pulsed_variance_with_error,
     squeezed_variance,
@@ -218,39 +222,50 @@ def _assert_matches(spectrum, t, exact):
     assert abs(value - exact) <= err
 
 
+def _opo_wiener_khinchin(t):
+    """sigma^2 = 2 int_0^T (T - tau) R(tau) dtau for the OPO's Lorentzian, in
+    30-digit arithmetic."""
+    opo = OpoParams()
+    with mpmath.workdps(30):
+        eta, sig, fc = (mpmath.mpf(v) for v in (opo.escape_efficiency, opo.pump_ratio,
+                                                 opo.cavity_hwhm))
+        k = 2 * mpmath.pi * fc * (1 + sig)
+        return t / 2 - (4 * eta * sig * mpmath.pi * fc / (1 + sig)) * (
+            t / k + mpmath.expm1(-k * t) / k**2)
+
+
 @pytest.mark.parametrize("t", ORACLE_WINDOWS)
 def test_opo_term_matches_wiener_khinchin_closed_form(t):
-    # sigma^2 = 2 int_0^T (T - tau) R(tau) dtau for the OPO's Lorentzian
     opo = OpoParams()
-    eta, sig, fc = opo.escape_efficiency, opo.pump_ratio, opo.cavity_hwhm
-    k = 2 * math.pi * fc * (1 + sig)
-    exact = t / 2 - (4 * eta * sig * math.pi * fc / (1 + sig)) * (
-        t / k + math.expm1(-k * t) / k**2
-    )
+    exact = float(_opo_wiener_khinchin(t))
     _assert_matches(Spectrum(lambda f: squeezed_variance(opo, f)), t, exact)
 
 
 def _sine_integral_closed_form(spec, t):
-    """Band by band through int_0^X sin^2(u) / u^2 du = Si(2X) - sin^2(X) / X."""
-    from scipy.special import sici
+    """Band by band through int_0^X sin^2(u) / u^2 du = Si(2X) - sin^2(X) / X,
+    in 30-digit arithmetic, where X = pi b T is finite for every float b."""
+    with mpmath.workdps(30):
+        def band(b):
+            x = mpmath.pi * mpmath.mpf(b) * t
+            return mpmath.si(2 * x) - mpmath.sin(x) ** 2 / x
 
-    def band(x):
-        return sici(2 * x)[0] - math.sin(x) ** 2 / x
-
-    upto = [band(math.pi * b * t) for b in spec.breakpoints] + [math.pi / 2]
-    levels = spec.values + (spec.tail_value,)
-    return t / math.pi * sum(v * (hi - lo) for v, lo, hi in zip(levels, [0.0] + upto, upto))
+        upto = [band(b) for b in spec.breakpoints] + [mpmath.pi / 2]
+        levels = spec.values + (spec.tail_value,)
+        return float(t / mpmath.pi * sum(v * (hi - lo)
+                                         for v, lo, hi in zip(levels, [0] + upto, upto)))
 
 
 @pytest.mark.parametrize("t", ORACLE_WINDOWS)
 def test_piecewise_bands_match_sine_integral_closed_form(t):
-    # one breakpoint lies beyond 1000 / T, off the sinc zeros, where only the
-    # per-breakpoint term of the error budget covers the lobe average
-    spec = PiecewiseSpectrum(
+    # the --example spectrum, and one whose third breakpoint lies beyond
+    # 1000 / T, off the sinc zeros, where only the per-breakpoint term of the
+    # error budget covers the lobe average
+    three_bands = PiecewiseSpectrum(
         breakpoints=sorted((50e3, 2e6, 1000.25 / t)), values=(1.0, 0.5, 0.8),
         tail_value=0.6,
     )
-    _assert_matches(spec, t, _sine_integral_closed_form(spec, t))
+    for spec in (EXAMPLE, three_bands):
+        _assert_matches(spec, t, _sine_integral_closed_form(spec, t))
 
 
 # breakpoints in lobes (b T): on a lobe edge, inside a lobe, two in one lobe,
@@ -273,9 +288,381 @@ def test_breakpoints_in_the_near_field_match_sine_integral(t, lobes_at):
     assert abs(value - exact) <= err
 
 
-def test_sinc2_kernels_match_mpmath():
-    import mpmath
+class _Counting:
+    """A spectrum that records the points of every call."""
 
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def __getattr__(self, name):  # breakpoints, when the inner spectrum has them
+        return getattr(self.inner, name)
+
+    def __call__(self, f):
+        self.calls.append(np.array(f, dtype=float, ndmin=1))
+        return self.inner(f)
+
+
+def outcome(spectrum, window):
+    """float.hex of (value, error), or the type and message of the error,
+    with the number of spectrum calls and a digest of their frequencies in
+    order: a tie broken another way bisects another panel, whose nodes
+    show, even where the final table and so the result come out the same."""
+    counting = _Counting(spectrum)
+    try:
+        result = tuple(v.hex() for v in pulsed_variance_with_error(counting, window))
+    except (ValueError, RuntimeError) as exc:
+        result = type(exc).__name__, str(exc)
+    return (result, *calls_digest(counting))
+
+
+def calls_digest(counting):
+    """The number of spectrum calls and a digest of their frequencies in
+    order."""
+    calls = hashlib.sha256(b"".join(c.tobytes() for c in counting.calls)).hexdigest()[:16]
+    return len(counting.calls), calls
+
+
+def _assert_within_its_error(spectrum, window, exact):
+    """|value - exact| <= the returned error. A jump just beyond x = 1000 / T
+    can make the lobe-average term alone exceed the tolerance, and no
+    bisection reduces that term: the engine then bisects up to its cap and
+    refuses, naming the lobe average as the largest error left."""
+    try:
+        value, err = pulsed_variance_with_error(spectrum, window)
+    except RuntimeError as exc:
+        assert "the largest error left is in the lobe average" in str(exc)
+        return
+    assert abs(value - exact) <= err
+
+
+windows = st.floats(1e-8, 1e-3).map(PulsedWindow)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    windows,
+    st.lists(st.floats(1e-3, 3e3), min_size=1, max_size=4, unique=True),
+    st.lists(st.floats(0.05, 5.0), min_size=5, max_size=5),
+)
+@example(PulsedWindow(2.0**-20), [3.5, 7.25, 7.75, 2500.25], [1.0, 0.3, 2.0, 0.5, 0.6])
+# a jump of 3.9375 at 1001 lobes, whose lobe-average term is 1.0e-6 of the
+# variance: the refusal
+@example(PulsedWindow(0.0009935658353893498), [1001.0], [0.0625, 1.0, 1.0, 1.0, 4.0])
+def test_piecewise_spectra_are_within_their_error_of_the_sine_integral(window, lobes_at, levels):
+    # breakpoints placed in lobes (b T): inside and on the edges of
+    # near-field lobes and beyond x, where they are far-field panel edges
+    breakpoints = tuple(sorted(u / window.duration for u in lobes_at))
+    assume(len(set(breakpoints)) == len(breakpoints))
+    spec = PiecewiseSpectrum(breakpoints=breakpoints, values=tuple(levels[: len(breakpoints)]),
+                             tail_value=levels[-1])
+    _assert_within_its_error(spec, window, _sine_integral_closed_form(spec, window.duration))
+
+
+class _Declared:
+    """A piecewise spectrum whose breakpoints attribute is passed on as
+    given: in any order, with repeats, as a tuple, a list or an array."""
+
+    def __init__(self, breakpoints):
+        self.breakpoints = breakpoints
+        edges = sorted(set(np.asarray(breakpoints, dtype=float).tolist()))
+        levels = [(1.0, 0.3, 2.0, 0.5, 1.5)[i % 5] for i in range(len(edges))]
+        self.inner = PiecewiseSpectrum(tuple(edges), tuple(levels), 0.6)
+
+    def __call__(self, f):
+        return self.inner(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    windows,
+    st.lists(st.one_of(st.floats(1e-3, 3e3), st.integers(1, 2999).map(float)),
+             min_size=1, max_size=6),
+)
+# in lobes (b T) at T = 2^-20 s, where b T is exact: repeated and unsorted
+# breakpoints; two inside one lobe; cuts in adjacent lobes; one on a whole
+# lobe beside a cut, one on the edge of the near field and one beyond it
+@example(PulsedWindow(2.0**-20), [7.75, 3.5, 2500.25, 7.75, 3.5, 1500.5])
+@example(PulsedWindow(2.0**-20), [3.25, 3.75, 3.5])
+@example(PulsedWindow(2.0**-20), [4.5, 3.5, 5.25])
+@example(PulsedWindow(2.0**-20), [3.0, 3.5, 1000.0, 2500.25, 2500.25])
+def test_declared_breakpoints_in_any_container_order_or_repeat(window, lobes_at):
+    # a tuple, a list and an array of the same breakpoints give the same
+    # bits and spectrum calls, within the returned error of the closed form
+    t = window.duration
+    declared = [u / t for u in lobes_at]
+    outcomes = [outcome(_Declared(container(declared)), window)
+                for container in (tuple, list, np.array)]
+    assert outcomes[1:] == outcomes[:1] * 2
+    spectrum = _Declared(declared)
+    _assert_within_its_error(spectrum, window, _sine_integral_closed_form(spectrum.inner, t))
+
+
+# at T = 10 s, x = 100 Hz: 1e308 Hz lies at b T = 1e309, beyond the float
+# range, so at w = 0, beside a cut at 522.5 lobes and a whole lobe at 525
+def test_a_breakpoint_beyond_the_float_range_in_lobes():
+    spectrum = _Declared((1e308, 52.25, 52.5))
+    assert 1e308 * 10.0 == math.inf
+    value, err = pulsed_variance_with_error(spectrum, PulsedWindow(10.0))
+    assert abs(value - _sine_integral_closed_form(spectrum.inner, 10.0)) <= err
+
+
+# ------------------------------------- Lorentzians and the clamped chain
+
+
+def _lorentzian_window(a, b, c, g, t):
+    """int_a^b L(nu) sin^2(pi nu T) / (pi nu)^2 dnu for the Lorentzian
+    L = g^2 / ((nu - c)^2 + g^2), 0 <= a < b <= inf, in closed form.
+
+    With w = 2 pi T and the pole p = c + i g, L = g Im 1/(nu - p) and
+    sin^2(pi nu T) = (1 - cos w nu) / 2, so the integral is g / (2 pi^2)
+    times Im int (1 - cos w nu) / (nu^2 (nu - p)) dnu. Partial fractions
+    split that into -1/(p nu^2) - 1/(p^2 nu) + 1/(p^2 (nu - p)), whose terms
+    integrate through Si and Ci at w nu, and through the exponential integral
+    E1 at -+i w (nu - p) (Abramowitz & Stegun 5.1-5.2). The path of
+    -i w (nu - p) crosses E1's branch cut, the negative real axis, at nu = c,
+    so up to c that antiderivative continues E1's principal branch by
+    -2 pi i. At nu = 0 the first two terms take their limits, 0 and
+    -gamma - ln w; at inf every term but w Si -> w pi / 2 vanishes.
+    """
+    with mpmath.workdps(30):
+        c, g, w = mpmath.mpf(c), mpmath.mpf(g), 2 * mpmath.pi * t
+        p = mpmath.mpc(c, g)
+
+        def antiderivative(nu):
+            if nu == math.inf:
+                return -(w * mpmath.pi / 2) / p
+            nu = mpmath.mpf(nu)
+            if nu == 0:
+                inv_square, inv = 0, -mpmath.euler - mpmath.log(w)
+            else:
+                inv_square = -(1 - mpmath.cos(w * nu)) / nu + w * mpmath.si(w * nu)
+                inv = mpmath.log(nu) - mpmath.ci(w * nu)
+            s = nu - p
+            up = -mpmath.e1(-1j * w * s) - (2j * mpmath.pi if nu <= c else 0)
+            down = -mpmath.e1(1j * w * s)
+            pole = mpmath.log(s) - (mpmath.exp(1j * w * p) * up
+                                    + mpmath.exp(-1j * w * p) * down) / 2
+            return -inv_square / p + (pole - inv) / p**2
+
+        return g / (2 * mpmath.pi**2) * mpmath.im(antiderivative(b) - antiderivative(a))
+
+
+def _inverse_square_window(a, b, t):
+    """int_a^b nu^-2 sin^2(pi nu T) / (pi nu)^2 dnu, 0 < a < b <= inf, in
+    closed form: with y = 2 pi T nu it is 4 pi T^3 int (1 - cos y) / y^4 dy,
+    whose antiderivative, by parts, is -(1 - cos y) / (3 y^3)
+    - sin y / (6 y^2) - cos y / (6 y) - Si(y) / 6, and -pi / 12 at inf."""
+    with mpmath.workdps(30):
+        def antiderivative(nu):
+            if nu == math.inf:
+                return -mpmath.pi / 12
+            y = 2 * mpmath.pi * t * mpmath.mpf(nu)
+            return (-(1 - mpmath.cos(y)) / (3 * y**3) - mpmath.sin(y) / (6 * y**2)
+                    - mpmath.cos(y) / (6 * y) - mpmath.si(y) / 6)
+
+        return 4 * mpmath.pi * t**3 * (antiderivative(b) - antiderivative(a))
+
+
+@pytest.mark.parametrize("t", ORACLE_WINDOWS)
+def test_the_lorentzian_closed_form_gives_wiener_khinchin_on_the_opo_term(t):
+    # S = 1 - a g^2 / (g^2 + nu^2), with a = 4 eta sig / (1 + sig)^2 and
+    # g = cavity_hwhm (1 + sig): the Lorentzian at c = 0, from nu = 0
+    opo = OpoParams()
+    with mpmath.workdps(30):
+        sig = mpmath.mpf(opo.pump_ratio)
+        amp = 4 * opo.escape_efficiency * sig / (1 + sig) ** 2
+        got = t / 2 - amp * _lorentzian_window(0, math.inf, 0, opo.cavity_hwhm * (1 + sig), t)
+        assert abs(got / _opo_wiener_khinchin(t) - 1) < 1e-25
+
+
+class _PeakInACutLobe:
+    """A narrow Lorentzian peak beside a declared breakpoint, inside the
+    near-field lobe it cuts or in the far field it splits, so the bisected
+    panels have edges that are not dyadic."""
+
+    def __init__(self, t, lobes_at, peak_at, width):
+        self.breakpoints = (lobes_at / t,)
+        self.peak, self.width = peak_at / t, width / t
+
+    def __call__(self, f):
+        f = np.asarray(f, dtype=float)
+        return 1.0 + 50.0 / (1.0 + ((f - self.peak) / self.width) ** 2)
+
+
+# in lobes: the breakpoint, the peak and its half-width
+@pytest.mark.parametrize("lobes_at, peak_at, width", [
+    (0.3137, 0.2, 0.01), (5.71, 5.9, 0.01), (1234.567, 1500.3, 5.0),
+])
+def test_a_peak_beside_a_cut_or_far_breakpoint_matches_the_lorentzian_closed_form(
+        lobes_at, peak_at, width):
+    t = 1e-6
+    spectrum = _Counting(_PeakInACutLobe(t, lobes_at, peak_at, width))
+    value, err = pulsed_variance_with_error(spectrum, PulsedWindow(t))
+    exact = t / 2 + 50 * float(_lorentzian_window(0, math.inf, spectrum.peak, spectrum.width, t))
+    assert abs(value - exact) <= err
+    assert len(spectrum.calls) > 4  # the 3 lobe-table chunks, the one call, bisections
+
+
+class _ReadOnly:
+    """The inner spectrum with every result marked read-only."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):  # breakpoints
+        return getattr(self.inner, name)
+
+    def __call__(self, f):
+        out = self.inner(f)
+        out.flags.writeable = False
+        return out
+
+
+def test_the_engine_never_writes_a_spectrum_result():
+    # a peak in a cut lobe, bisected, and a far-field breakpoint: the one
+    # spectrum call serves both sides of the generic panels, and bisections
+    # call it again
+    t = 1e-6
+    spectrum = _PeakInACutLobe(t, 0.3137, 0.2, 0.01)
+    spectrum.breakpoints += (1234.567 / t,)
+    want = outcome(spectrum, PulsedWindow(t))
+    got = outcome(_ReadOnly(spectrum), PulsedWindow(t))
+    assert isinstance(got[0][0], str) and got == want
+    assert got[1] > 7  # the 3 lobe-table chunks, the one call, bisections
+
+
+@functools.cache
+def _clamped_chain(mode, knee):
+    """The default chain's dark-corrected detected spectrum of one mode,
+    D = 1 + eta_det X with X = -a g^2 / (g^2 + nu^2) (the OPO term, a and
+    g as in the Wiener-Khinchin test) + b h^2 / ((nu - c)^2 + h^2) (the
+    relaxation peak) + lf / nu^2 (the low-frequency term, lf = lf_amp
+    lf_knee^2), clamped to 1 below the knee.
+
+    Returns eta_det, the terms (a, g, b, c, h, lf), the crossings of D = 1
+    below the knee and the pieces on which the clamped spectrum is D: those
+    of (0, knee) between crossings where X < 0, and [knee, inf). The
+    crossings are the real roots of X's numerator over the common
+    denominator nu^2 (g^2 + nu^2) ((nu - c)^2 + h^2), a quartic.
+    """
+    cfg = default_config()
+    opo, noise, det = cfg.opo, cfg.noise, cfg.detection
+    assert noise.lf_exponent == 2.0
+    with mpmath.workdps(30):
+        m = mpmath.mpf
+        sig, eta, fc = m(opo.pump_ratio), m(opo.escape_efficiency), m(opo.cavity_hwhm)
+        terms = (4 * sig * eta / (1 + sig) ** 2, fc * (1 + sig), m(noise.relax_amp(mode)),
+                 m(noise.relax_center), m(noise.relax_fwhm) / 2,
+                 m(noise.lf_amp) * m(noise.lf_knee) ** 2)
+        a, g, b, c, h, lf = terms
+
+        def x(nu):
+            return -a * g**2 / (g**2 + nu**2) + b * h**2 / ((nu - c) ** 2 + h**2) + lf / nu**2
+
+        # the quartic's coefficients, highest power first, from those of
+        # g^2 + nu^2 = (1, 0, g^2) and (nu - c)^2 + h^2 = (1, -2c, c^2 + h^2)
+        quartic = [-a * g**2 * q + b * h**2 * o + lf * po for q, o, po in zip(
+            (1, -2 * c, c**2 + h**2, 0, 0), (1, 0, g**2, 0, 0),
+            (1, -2 * c, c**2 + h**2 + g**2, -2 * c * g**2, g**2 * (c**2 + h**2)))]
+        roots = mpmath.polyroots(quartic, maxsteps=200, extraprec=60)
+        crossings = sorted(mpmath.re(r) for r in roots
+                           if abs(mpmath.im(r)) < 1e-20 * abs(r) and 0 < mpmath.re(r) < knee)
+        edges = [m(0), *crossings, m(knee)]
+        pieces = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if x((lo + hi) / 2) < 0]
+        eta_det = m(det.quantum_efficiency) * m(det.visibility) ** 2
+        return eta_det, terms, crossings, pieces + [(m(knee), math.inf)]
+
+
+def clamped_chain_window_variance(mode, knee, t):
+    """The window variance of the clamped chain, piece by piece: T / 2 for
+    the 1 everywhere, plus eta_det times each term of X over the pieces
+    where the clamped spectrum is D."""
+    eta_det, (a, g, b, c, h, lf), _, pieces = _clamped_chain(mode, knee)
+    with mpmath.workdps(30):
+        total = mpmath.mpf(t) / 2
+        for lo, hi in pieces:
+            total += eta_det * (-a * _lorentzian_window(lo, hi, 0, g, t)
+                                + b * _lorentzian_window(lo, hi, c, h, t)
+                                + lf * _inverse_square_window(lo, hi, t))
+        return float(total)
+
+
+class _DeclaredKnee:
+    """The clamped chain of one mode, declaring where it is not smooth: the
+    knee, where it jumps, and the crossings of 1 below it, where it kinks."""
+
+    def __init__(self, mode, knee):
+        cfg = default_config()
+        detected = observe_corrected(total_spectrum(cfg.opo, cfg.noise, mode), cfg.detection)
+        self.inner = clamp_to_shot_below(detected, knee)
+        self.breakpoints = (*(float(x) for x in _clamped_chain(mode, knee)[2]), knee)
+
+    def __call__(self, f):
+        return self.inner(f)
+
+
+SWEEP_WINDOWS = np.logspace(-8, -3, 11)
+
+# the closed form at the default knee, 50 kHz, on SWEEP_WINDOWS: the clamped
+# rows of the benchmark's pulsed sweep
+CLAMPED_CHAIN_TABLE = {
+    "minus": (
+        2.414513173810068e-09, 6.1965561391715895e-09, 1.9494437630974803e-08,
+        7.097069253774332e-08, 2.3133567447553505e-07, 1.0465970957386826e-06,
+        4.576506336944697e-06, 1.538265289554161e-05, 4.955857079705259e-05,
+        0.00015767370109344246, 0.000499559876331349,
+    ),
+    "plus": (
+        2.404857986809776e-09, 6.100427500484225e-09, 1.856618535905977e-08,
+        6.423203217218622e-08, 2.289958300896515e-07, 1.0406163170450988e-06,
+        4.569618994894424e-06, 1.5375803230614587e-05, 4.955166935425669e-05,
+        0.0001576668127769807, 0.0004995529715983775,
+    ),
+}
+
+
+def test_the_clamped_chain_closed_form_gives_its_table():
+    for mode, table in CLAMPED_CHAIN_TABLE.items():
+        got = [clamped_chain_window_variance(mode, 50e3, t) for t in SWEEP_WINDOWS]
+        np.testing.assert_allclose(got, table, rtol=1e-15, atol=0)
+    # the engine with its knee declared lands here too; the benchmark's
+    # frozen 6.423212008e-08 is 1.37e-6 above it
+    assert f"{CLAMPED_CHAIN_TABLE['plus'][3]:.7e}" == "6.4232032e-08"
+
+
+# the windows, 10^log_t s, where the clamp's undeclared jump at the knee
+# moves the engine by more than its returned error
+HIDDEN_KNEE = {("minus", -6.5), ("minus", -5.5), ("minus", -3.5), ("plus", -6.5)}
+
+
+@pytest.mark.parametrize("mode, i", [
+    pytest.param(mode, i, id=f"{mode}-T1e{log_t:g}", marks=pytest.mark.xfail(
+        (mode, log_t) in HIDDEN_KNEE, strict=True,
+        reason="ROADMAP item 1: clamp_to_shot_below does not declare its knee"))
+    for mode in CLAMPED_CHAIN_TABLE for i, log_t in enumerate(np.linspace(-8, -3, 11).tolist())
+])
+def test_the_clamped_chain_is_within_its_error_of_the_closed_form(mode, i):
+    value, err = pulsed_variance_with_error(sweep_spectra()[mode], PulsedWindow(SWEEP_WINDOWS[i]))
+    assert abs(value - CLAMPED_CHAIN_TABLE[mode][i]) <= err
+
+
+# the default knee; one below it, where the clamp jumps by more; and one
+# above the crossing of 1 near 50.1 kHz, where the clamp kinks at the crossing
+@pytest.mark.parametrize("mode", CLAMPED_CHAIN_TABLE)
+@pytest.mark.parametrize("knee, crossings", [(20e3, 0), (50e3, 0), (100e3, 1)])
+def test_the_clamped_chain_declaring_its_knee_is_within_its_error(mode, knee, crossings):
+    spectrum = _DeclaredKnee(mode, knee)
+    assert len(spectrum.breakpoints) == 1 + crossings
+    missed = []
+    for t in SWEEP_WINDOWS:
+        value, err = pulsed_variance_with_error(spectrum, PulsedWindow(t))
+        exact = clamped_chain_window_variance(mode, knee, t)
+        if not abs(value - exact) <= err:
+            missed.append((t, value, exact, err))
+    assert missed == []
+
+
+def test_sinc2_kernels_match_mpmath():
     def rel_err(got, u, scale=1.0):
         with mpmath.workdps(30):
             x = mpmath.pi * mpmath.mpf(float(u))
@@ -290,14 +677,6 @@ def test_sinc2_kernels_match_mpmath():
     u = np.random.default_rng(7).uniform(0.0, 1000.0, 500)
     for ui, got in zip(u, _sinc2(u)):
         assert rel_err(got, ui) <= 1e-15, ui
-
-
-def test_refinement_cap_names_the_largest_error_source():
-    # a square wave with undeclared jumps every 0.15 lobes: each jump needs
-    # its own run of bisections, more than the refinement budget allows
-    wave = Spectrum(lambda f: 1.5 + 0.5 * np.sign(np.sin(2 * np.pi * np.asarray(f) * 3.3e-6)))
-    with pytest.raises(RuntimeError, match=r"panels.*near field.*clamp"):
-        pulsed_variance(wave, T_1US)
 
 
 def test_gauss_legendre_constants_are_leggauss_bit_for_bit():
@@ -398,6 +777,28 @@ def test_sweep_values_and_errors_are_frozen_bit_for_bit(name):
     assert got == list(FROZEN_SWEEP[name])
 
 
+# calls_digest() over the 11 windows of each sweep spectrum, frozen like
+# FROZEN_SWEEP: a panel bisected in another order or at other nodes changes
+# the digest even where the bits come out the same. The flat, --example and
+# OPO spectra take no bisection, 4 calls per window, and flat and OPO are
+# called at the same frequencies
+FROZEN_SWEEP_CALLS = {
+    "piecewise": (44, "439dba971585b11f"),
+    "flat": (44, "99fe3d55f9050ad1"),
+    "minus": (126, "780094844188a8dc"),
+    "plus": (119, "60583f859b196f1e"),
+    "opo": (44, "99fe3d55f9050ad1"),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_SWEEP_CALLS)
+def test_sweep_points_call_the_spectrum_as_frozen(name):
+    counting = _Counting(sweep_spectra()[name])
+    for t in SWEEP_WINDOWS:
+        pulsed_variance_with_error(counting, PulsedWindow(t))
+    assert calls_digest(counting) == FROZEN_SWEEP_CALLS[name]
+
+
 # one breakpoint, in lobes (b T) at T = 2^-20 s, where b T is exact: inside a
 # lobe, on a lobe edge, and beyond x = 1000 / T; frozen like FROZEN_SWEEP
 @pytest.mark.parametrize("lobes_at, value, error", [
@@ -412,18 +813,43 @@ def test_breakpoint_values_and_errors_are_frozen_bit_for_bit(lobes_at, value, er
     assert tuple(v.hex() for v in got) == (value, error)
 
 
-class _Counting:
-    """A spectrum that records the points of every call."""
+def _square_wave(period):
+    """1 and 2 in turn, switching every 1 / (2 period) Hz, at undeclared
+    jumps."""
+    return Spectrum(lambda f: 1.5 + 0.5 * np.sign(np.sin(2 * np.pi * np.asarray(f) * period)))
 
-    def __init__(self, inner):
-        self.inner, self.calls = inner, []
 
-    def __getattr__(self, name):  # breakpoints, when the inner spectrum has them
-        return getattr(self.inner, name)
+# outcome() of square waves, frozen like FROZEN_SWEEP. A period of 1e-7 s or
+# 5e-9 s gives jumps at whole fractions of a lobe, where bisections leave two
+# to five panels with one error, and converges; 3.3e-6 s, the refinement-cap
+# test's wave, runs into the cap, with its exact message. In each the tie
+# rule picks a panel other than the first of the tied rows in the table (72,
+# 26 and 3 times), so a tie broken another way bisects another panel, whose
+# nodes change the digest of the spectrum calls even where the result comes
+# out the same
+FROZEN_TIES = {
+    (1e-7, 1e-6): (("0x1.0a8e1ed13fd6fp-20", "0x1.1719171316932p-40"), 992, "300609fd74b469d3"),
+    (5e-9, 1e-7): (("0x1.abfd4fe471203p-24", "0x1.bf2a053986f8ap-44"), 513, "2081aa64045631a4"),
+    (3.3e-6, 1e-6): (
+        ("RuntimeError",
+         "window-variance quadrature did not reach the requested tolerance in 5008 panels; "
+         "the largest error left is in the near field: 1.29e-11 against a variance of "
+         "7.88e-07; if the spectrum diverges at low frequency, clamp it (e.g. with "
+         "clamp_to_shot_below) to model a feedback-stabilized source"),
+        4004, "3ec1a8ceb1348913"),
+}
 
-    def __call__(self, f):
-        self.calls.append(np.array(f, dtype=float, ndmin=1))
-        return self.inner(f)
+
+@pytest.mark.parametrize("period, t", FROZEN_TIES)
+def test_ties_are_broken_as_frozen(period, t):
+    assert outcome(_square_wave(period), PulsedWindow(t)) == FROZEN_TIES[period, t]
+
+
+def test_refinement_cap_names_the_largest_error_source():
+    # a square wave with undeclared jumps every 0.15 lobes: each jump needs
+    # its own run of bisections, more than the refinement budget allows
+    with pytest.raises(RuntimeError, match=r"panels.*near field.*clamp"):
+        pulsed_variance(_square_wave(3.3e-6), T_1US)
 
 
 @pytest.mark.parametrize("spectrum, far_bp", [
