@@ -35,7 +35,7 @@ _PUBLIC = {
         "PiecewiseSpectrum", "PulsedWindow", "clamp_to_shot_below", "flat_window_variance",
         "improvement_factor", "pulsed_variance", "pulsed_variance_with_error",
     ),
-    "quantum": ("ModeVariancePair", "duan_inseparability", "obeys_uncertainty"),
+    "quantum": ("duan_inseparability", "obeys_uncertainty"),
     "spectra": ("Spectrum", "TabulatedSpectrum"),
 }
 _SOURCE = {name: module for module, names in _PUBLIC.items() for name in names}

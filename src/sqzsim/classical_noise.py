@@ -45,8 +45,9 @@ class ClassicalNoiseConfig:
         for name in ("relax_center", "relax_fwhm", "lf_knee"):
             in_domain(name, getattr(self, name), "(0, inf)")
         in_domain("lf_exponent", self.lf_exponent, "(-inf, inf)")
-        # excess_noise forms amp * hw^2 in Python floats: hw^2 raises
-        # OverflowError from hw ~ 1.34e154, and amp * hw^2 turns inf
+        # excess_noise's scaled Lorentzian needs no bound on the width; this
+        # one stays because it also caps the amplitudes, by keeping
+        # max(1, amp) hw^2 finite
         amp = max(1.0, self.relax_amp_plus, self.relax_amp_minus)
         widest = 2 * math.sqrt(sys.float_info.max / amp)
         if not (self.relax_fwhm < widest and amp * (0.5 * self.relax_fwhm) ** 2 < np.inf):
@@ -74,18 +75,19 @@ def excess_noise(config: ClassicalNoiseConfig, f, mode: str) -> float | np.ndarr
     if np.fmin.reduce(f, axis=None, initial=np.inf) <= 0:
         raise ValueError("excess noise is defined for f > 0 only")
     hw = 0.5 * config.relax_fwhm
-    # the Lorentzian's denominator and the low-frequency term are each one
-    # fresh array updated in place. Far from the centre the square overflows
-    # to inf, and amp hw^2 / inf = 0 is the right value, so that overflow is
-    # not worth a warning; nor is the low-frequency term's, whose inf is its
-    # value, which the commands that need a finite one refuse by name (a
-    # negative exponent takes the term at f = inf to 0^-p = inf by a divide)
+    # the scaled Lorentzian amp / (1 + ((f - c) / hw)^2) and the low-frequency
+    # term are each one fresh array updated in place. Far from the centre the
+    # square overflows to inf, and amp / inf = 0 is the right value, so that
+    # overflow is not worth a warning; nor is the low-frequency term's, whose
+    # inf is its value, which the commands that need a finite one refuse by
+    # name (a negative exponent takes the term at f = inf to 0^-p = inf by a
+    # divide)
     with np.errstate(over="ignore", divide="ignore"):
         lorentz = f - config.relax_center
+        lorentz /= hw
         lorentz **= 2
-        lorentz += hw**2
-        num = amp * hw**2
-        lorentz = num / lorentz
+        lorentz += 1.0
+        np.divide(amp, lorentz, out=lorentz)
         if config.lf_amp == 0:
             # switched off: 0 x an overflowing power law would be NaN, and
             # lorentz + 0.0 is lorentz

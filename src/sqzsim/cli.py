@@ -55,7 +55,7 @@ from .pulsed import (
     flat_window_variance,
     pulsed_variance_with_error,
 )
-from .quantum import ModeVariancePair, duan_inseparability, obeys_uncertainty
+from .quantum import duan_inseparability, obeys_uncertainty
 from .spectra import Spectrum, in_domain
 
 # peak memory of `synth` in record sizes (8 bytes per sample), above the
@@ -113,6 +113,11 @@ def _peak_memory(key: str, what: str, need: int):
         ) from exc
 
 
+# the records' sub-seeds, in this order; generate_state is prefix-stable, so
+# a mode added at the end never changes the others' records
+RECORD_MODES = ("plus", "minus", "shot")
+
+
 def _sub_seeds(seed: int, n: int) -> list[int]:
     state = np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
     return [int(s) for s in state]
@@ -159,9 +164,7 @@ def _model_values(src: dict, f) -> dict:
 
 
 def _inseparability(spectra: dict, f):
-    return duan_inseparability(
-        ModeVariancePair(s_plus=spectra["plus"](f), s_minus=spectra["minus"](f))
-    )
+    return duan_inseparability(spectra["plus"](f), spectra["minus"](f))
 
 
 def _sweep_config(cfg: RunConfig, args) -> SweepConfig:
@@ -316,12 +319,14 @@ def detected_record(
     source ("shot"), as the detector delivers it.
 
     The source's observed spectrum, losses and electronic floor included,
-    is shaped into one series from sub-seed 0. The record carries cfg's seed.
+    is shaped into one series from the mode's own sub-seed, so that records
+    of one seed are independent. The record carries cfg's seed.
     """
     seed = cfg.require_seed()
     source = Spectrum.flat(1.0) if mode == "shot" else total_spectrum(cfg.opo, cfg.noise, mode)
     detected = observe(source, cfg.detection)
-    ts = synthesize(detected, sample_rate, n_samples, _sub_seeds(seed, 1)[0])
+    sub_seed = _sub_seeds(seed, len(RECORD_MODES))[RECORD_MODES.index(mode)]
+    ts = synthesize(detected, sample_rate, n_samples, sub_seed)
     return dataclasses.replace(ts, seed=seed)
 
 
@@ -477,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pulsed)
 
     p = sub.add_parser("synth", help="synthesize a photocurrent record")
-    p.add_argument("--mode", choices=("plus", "minus", "shot"), default="minus")
+    p.add_argument("--mode", choices=RECORD_MODES, default="minus")
     p.add_argument("--n-samples", type=float, default=2**22)
     p.add_argument("--sample-rate", type=float, default=25e6)
     p.set_defaults(func=cmd_synth)

@@ -30,15 +30,17 @@ declares a handful of breakpoints, so their positions b T and the panel
 edges are worked out in Python floats. The lobe table is evaluated in chunks
 of at most 8192 nodes; one spectrum call covers everything else (the
 far-field breakpoints, x and the nodes of the whole generic set), and the
-set's GL16 and GL8 sums are taken in one pass. One panel table holds the
-whole lobes, then the generic set, with a side column; its worst panel is
-bisected until the summed estimate (16 nodes, checked against 8) meets the
-relative tolerance: the panel with the largest error, a tie going to the
-lowest start, then end, value and side. Its row takes the left half in
-place, the right half is appended as a new row, and the running sums change
-by the halves' difference. The returned error adds what the lobe average
-drops: S(x) T / (4 pi^4 N^3) for the smooth far field and
-|dS| / (4 pi^3 T b^2) per jump dS at a b > x.
+set's GL16 and GL8 sums are taken in one pass, as are those of the two
+halves of each bisection. One panel table holds the whole lobes, then the
+generic set, with a side column; its worst panel, the first row of any tied
+for the largest error, is bisected until the summed estimate (16 nodes,
+checked against 8) meets the relative tolerance. Its row takes the left
+half in place, the right half is appended as a new row, and one running
+sum per column changes by the halves' difference; the result sums the
+table's columns in table order. The returned error adds what the lobe
+average drops: S(x) T / (4 pi^4 N^3) for the smooth far field and
+|dS| / (4 pi^3 T b^2) per jump dS at a b > x. No bisection reduces that
+term, so where it alone exceeds the tolerance the engine refuses at once.
 """
 
 from __future__ import annotations
@@ -66,12 +68,6 @@ _N_LOBES = 1_000
 _REL_TOL = 1e-6
 _MAX_REFINEMENTS = 4000
 _CHUNK_NODES = 8192
-
-# the panels of a spectrum without breakpoints: every near-field lobe whole,
-# and the far field in eighths of w
-_LOBE_STARTS = np.arange(float(_N_LOBES))
-_FAR_EDGES = np.linspace(0.0, 1.0, 9)
-_LOBE_STARTS.flags.writeable = _FAR_EDGES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -246,9 +242,9 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
 
     # whole lobes come from the table; a lobe with a breakpoint inside is cut
     # there into generic panels, and breakpoints beyond x are far-field panel
-    # edges. A spectrum declares a handful of breakpoints, so this runs on
-    # Python floats, in which b T beyond the float range is inf without a
-    # warning: an edge at w = 0
+    # edges, besides the eighths of w. A spectrum declares a handful of
+    # breakpoints, so this runs on Python floats, in which b T beyond the
+    # float range is inf without a warning: an edge at w = 0
     cut_edges = {}  # cut lobe k: its edges k, k + 1 and the breakpoints inside
     far_bp, far_at = [], []
     for b in np.asarray(getattr(spectrum, "breakpoints", ()), dtype=float).ravel().tolist():
@@ -259,18 +255,13 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
         elif u > _N_LOBES:
             far_bp.append(b)
             far_at.append(u)
-    whole, lobes, cut_a, cut_b = slice(None), _LOBE_STARTS, [], []
-    if cut_edges:
-        whole = np.ones(_N_LOBES, dtype=bool)
-        whole[list(cut_edges)] = False
-        lobes = _LOBE_STARTS[whole]
-        for k in sorted(cut_edges):
-            edges = sorted(cut_edges[k])
-            cut_a += edges[:-1]
-            cut_b += edges[1:]
-    far_edges = _FAR_EDGES.tolist()
-    if far_at:
-        far_edges = sorted({*far_edges, *(_N_LOBES / u for u in far_at)})
+    whole = np.ones(_N_LOBES, dtype=bool)
+    whole[list(cut_edges)] = False
+    lobes = np.arange(float(_N_LOBES))[whole]
+    cut = [sorted(cut_edges[k]) for k in sorted(cut_edges)]
+    cut_a = [lo for edges in cut for lo in edges[:-1]]
+    cut_b = [hi for edges in cut for hi in edges[1:]]
+    far_edges = sorted({*(k / 8 for k in range(9)), *(_N_LOBES / u for u in far_at)})
 
     # the generic panels as one set: the cut lobes' pieces (side 0), then the
     # far field's (side 1), so the first m nodes are the cut lobes'
@@ -288,11 +279,8 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     # of the flat tail's series, and the boundary term of each jump beyond x
     # (4 pi^3 b T is a Python float, so it is inf beyond the float range
     # without a warning, and its term 0, as the exact term is to rounding)
-    jumps = np.abs(sv[:nf] - sv[nf : 2 * nf])
-    averaging_err = float(
-        sv[2 * nf] / (4.0 * np.pi**4 * _N_LOBES**3)
-        + np.sum(jumps / [4.0 * np.pi**3 * u for u in far_at] / far_at)
-    )
+    jumps = np.abs(sv[:nf] - sv[nf : 2 * nf]) / [4.0 * np.pi**3 * u for u in far_at] / far_at
+    averaging_err = float(sv[2 * nf] / (4.0 * np.pi**4 * _N_LOBES**3) + np.sum(jumps))
     sv = sv[2 * nf + 1 :]
     generic_fine, generic_err = _gl_sums(
         half, np.concatenate((integrand(0, z[:m], sv[:m]), integrand(1, z[m:], sv[m:])))
@@ -303,24 +291,29 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     # it bisects with the left half and appends the right half, so the table
     # has room for _MAX_REFINEMENTS more
     fine, err = _lobe_panels(s, t)
-    n_near, n = lobes.size + len(cut_a), lobes.size + a.size
-    side = np.empty(n + _MAX_REFINEMENTS, dtype=np.int8)
-    side[:n_near], side[n_near:n] = 0, 1
+    n = lobes.size + a.size
+    side = np.zeros(n + _MAX_REFINEMENTS, dtype=np.int8)
+    side[lobes.size + len(cut_a) : n] = 1
     start, end, value, error = (np.empty(side.size) for _ in range(4))
     np.concatenate((lobes, a), out=start[:n])
     np.concatenate((lobes + 1.0, b), out=end[:n])
     np.concatenate((fine[whole], generic_fine), out=value[:n])
     np.concatenate((err[whole], generic_err), out=error[:n])
 
-    # running sums drive the convergence test: the sums of the whole lobes,
-    # the cut panels and the far field, added in that order (one sum over all
-    # generic panels could round apart and move the stop); the reproducible
-    # ordered sum comes at the end
-    def running(col):
-        nw = lobes.size
-        return float(col[:nw].sum()) + float(col[nw:n_near].sum()) + float(col[n_near:n].sum())
-
-    value_sum, err_sum = running(value), running(error) + averaging_err
+    # one running sum per column drives the convergence test. No bisection
+    # reduces the lobe-average term: refuse at once when it alone exceeds the
+    # tolerance, even at the largest value the bisected error allows
+    value_sum, err_sum = float(value[:n].sum()), float(error[:n].sum())
+    if averaging_err > _REL_TOL * (abs(value_sum) + err_sum):
+        j = int(jumps.argmax()) if nf else None
+        raise RuntimeError(
+            f"window-variance quadrature cannot reach the requested tolerance: the lobe "
+            f"average beyond {x:.6g} Hz drops {t * averaging_err:.3g} against a variance "
+            f"of {t * value_sum:.3g}, and no refinement reduces it; its largest term is "
+            + (f"the jump at {far_bp[j]:.6g} Hz ({far_at[j]:.6g} lobes)" if nf
+               else "the smooth far field")
+        )
+    err_sum += averaging_err
 
     while err_sum > _REL_TOL * abs(value_sum) and abs(value_sum) != 0.0:
         if n == side.size:
@@ -338,25 +331,15 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
                 "if the spectrum diverges at low frequency, clamp it (e.g. with "
                 "clamp_to_shot_below) to model a feedback-stabilized source"
             )
-        # the worst panel: the largest error; a tie, which is rare, goes to
-        # the lowest start, then end, value and side
-        live = error[:n]
-        w = int(live.argmax())
-        if np.count_nonzero(live == live[w]) > 1:
-            tied = np.flatnonzero(live == live[w])
-            w = int(tied[np.lexsort((side[tied], value[tied], end[tied], start[tied]))[0]])
-        # bisect it, in Python floats: the halves [a, mid] and [mid, b], their
-        # 48 nodes in one spectrum call, and their GL16 and GL8 sums from one
-        # product
+        # bisect the worst panel, the first of any tied for the largest
+        # error: its halves' 48 nodes in one spectrum call
+        w = int(error[:n].argmax())
         a, b, k = start.item(w), end.item(w), side.item(w)
         mid = 0.5 * (a + b)
-        half_a, half_b = 0.5 * (mid - a), 0.5 * (b - mid)
-        z = np.concatenate((a + half_a * _GL_SHIFTED, mid + half_b * _GL_SHIFTED))
-        product = integrand(k, z, s(nu(k, z))).reshape(2, -1) * _GL_WEIGHTS
-        fine_a, fine_b = product[:, :_N_FINE].sum(axis=1).tolist()
-        coarse_a, coarse_b = product[:, _N_FINE:].sum(axis=1).tolist()
-        fine_a, fine_b = half_a * fine_a, half_b * fine_b
-        err_a, err_b = abs(fine_a - half_a * coarse_a), abs(fine_b - half_b * coarse_b)
+        half, z = _gl_nodes(np.array((a, mid)), np.array((mid, b)))
+        (fine_a, fine_b), (err_a, err_b) = (
+            col.tolist() for col in _gl_sums(half, integrand(k, z, s(nu(k, z))))
+        )
         value_sum += (fine_a + fine_b) - value.item(w)
         err_sum += (err_a + err_b) - error.item(w)
         # the left half overwrites the panel's row, the right half is appended
@@ -364,11 +347,7 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
         side[n], start[n], end[n], value[n], error[n] = k, mid, b, fine_b, err_b
         n += 1
 
-    # near field then far field, each by panel start, summed pairwise: reruns
-    # stay bit-identical
-    order = np.lexsort((start[:n], side[:n]))
-    total_err = float(np.sum(error[order])) + averaging_err
-    return t * float(np.sum(value[order])), t * total_err
+    return t * float(value[:n].sum()), t * (float(error[:n].sum()) + averaging_err)
 
 
 def pulsed_variance(spectrum, window: PulsedWindow) -> float:

@@ -26,8 +26,9 @@ OMEGA = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
 
 def physical_by_eigenvalues(s_squeezed: float, s_antisqueezed: float) -> bool:
     """Eigenvalue oracle: V + i Omega >= 0 for the signal/idler covariance V
-    whose superposition form is diag(S+, S-, S-, S+). eigvalsh rounds at a
-    few eps times the largest entry, so the tolerance is relative to it."""
+    whose superposition form is diag(A, S, S, A), both modes alike. eigvalsh
+    rounds at a few eps times the largest entry, so the tolerance is relative
+    to it."""
     rotated = np.diag([s_antisqueezed, s_squeezed, s_squeezed, s_antisqueezed])
     cov = SUPERPOSITION @ rotated @ SUPERPOSITION.T
     min_eig = np.linalg.eigvalsh(cov + 1j * OMEGA).min()

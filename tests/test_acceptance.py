@@ -12,7 +12,6 @@ from scipy.optimize import brentq
 from conftest import physical_by_eigenvalues
 from sqzsim import (
     ClassicalNoiseConfig,
-    ModeVariancePair,
     OpoParams,
     PiecewiseSpectrum,
     PulsedWindow,
@@ -112,9 +111,7 @@ def test_criterion_2_inseparability_figure():
         mode: observe_corrected(total_spectrum(cfg.opo, cfg.noise, mode), cfg.detection)(f0)
         for mode in ("plus", "minus")
     }
-    insep = duan_inseparability(
-        ModeVariancePair(s_plus=detected["plus"], s_minus=detected["minus"])
-    )
+    insep = duan_inseparability(detected["plus"], detected["minus"])
     crit.check(0.31 <= insep <= 0.35, f"inseparability = {insep:.4f} in [0.31, 0.35]")
     crit.conclude()
 

@@ -46,6 +46,13 @@ def test_low_frequency_term_beyond_the_float_range_is_inf_without_a_warning():
     assert excess_noise(huge_knee, 3.5e6, "plus") == math.inf
 
 
+def test_a_lorentzian_wider_than_the_square_root_of_the_float_range():
+    # (f - c)^2 + hw^2 overflows here, and the unscaled form gave 0.0
+    config = ClassicalNoiseConfig(relax_center=1e154, relax_fwhm=2e154, lf_amp=0.0)
+    assert excess_noise(config, 2e154, "plus") == 0.25
+    assert excess_noise(config, 2e154, "minus") == 0.6
+
+
 def test_nonnegative_everywhere():
     f = np.logspace(2, 8, 2001)
     for mode in ("plus", "minus"):
@@ -89,7 +96,7 @@ def test_a_switched_off_low_frequency_term_adds_nothing():
     f = np.array([5e-324, 1e-10, 1.0, 1e6, 1e140, 1e150])
     hw = 0.5 * config.relax_fwhm
     for mode in ("plus", "minus"):
-        lorentz = config.relax_amp(mode) * hw**2 / ((f - config.relax_center) ** 2 + hw**2)
+        lorentz = config.relax_amp(mode) / (1.0 + ((f - config.relax_center) / hw) ** 2)
         got = excess_noise(config, f, mode)
         assert got.tobytes() == lorentz.tobytes()
         assert excess_noise(config, 1e-10, mode) == lorentz[1]

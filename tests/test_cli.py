@@ -167,6 +167,19 @@ def test_pulsed_model_requires_feedback_clamp(tmp_path, capsys):
     assert doc["improvement_factor"] > 1.0
 
 
+def test_pulsed_refuses_a_far_jump_without_clamp_advice(tmp_path, capsys):
+    # the jump's lobe-average term alone exceeds the tolerance, which no
+    # bisection changes, so the command exits at once and blames no divergence
+    inline = '{"breakpoints":[1007482.3070055916],"values":[0.0625],"tail_value":4.0}'
+    assert run("--out", tmp_path, "pulsed", "--piecewise", inline,
+               "--T", 0.0009935658353893498) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical error: window-variance quadrature cannot reach")
+    assert "the jump at 1.00748e+06 Hz (1001 lobes)" in err and "clamp" not in err
+    assert not (tmp_path / "pulsed_report.json").exists()
+
+
 def test_pulsed_long_window_on_clamped_model(tmp_path):
     assert run("--out", tmp_path, "pulsed", "--model", "minus",
                "--assume-feedback", "--T", 1e-3) == 0
@@ -496,11 +509,37 @@ def test_detected_record_is_one_synthesis_of_the_observed_spectrum(mode):
     n = 2**18
     source = (sqzsim.Spectrum.flat(1.0) if mode == "shot"
               else sqzsim.total_spectrum(cfg.opo, cfg.noise, mode))
-    want = sqzsim.synthesize(sqzsim.observe(source, cfg.detection), 25e6, n,
-                             cli._sub_seeds(cfg.require_seed(), 1)[0])
+    # each mode draws from its own sub-seed: plus, minus and shot, in that order
+    sub_seed = dict(zip(("plus", "minus", "shot"), cli._sub_seeds(cfg.require_seed(), 3)))[mode]
+    want = sqzsim.synthesize(sqzsim.observe(source, cfg.detection), 25e6, n, sub_seed)
     got = cli.detected_record(cfg, mode, 25e6, n)
     assert got.samples.tobytes() == want.samples.tobytes()
     assert got.seed == cfg.require_seed()
+
+
+def test_records_of_one_seed_are_independent_across_modes():
+    # a minus record normalized to a shot record of the same seed scatters
+    # about the model as two independent Welch estimates do; records drawn
+    # from the same normals would cancel that scatter (0.0006 dB)
+    cfg = default_config()
+    n, fs, rbw = 2**20, 25e6, 1e5
+    psd = {mode: sqzsim.welch_psd(cli.detected_record(cfg, mode, fs, n), rbw)
+           for mode in ("minus", "shot")}
+    f = psd["minus"].freqs
+    band = (f >= 3e5) & (f <= 10e6) & (np.abs(f - cfg.noise.relax_center) > 3e5)
+    model = sqzsim.observed_relative_to_shot(
+        sqzsim.total_spectrum(cfg.opo, cfg.noise, "minus"), cfg.detection)(f[band])
+    scatter = np.std(10 * np.log10(psd["minus"].values[band] / psd["shot"].values[band] / model))
+    # Welch's relative error over k 50%-overlapped Hann segments is
+    # sqrt((1 + 2 (k - 1) / k rho) / k), rho the squared overlap correlation
+    # of the window (Welch 1967), and a ratio of two estimates doubles its
+    # variance; the std of m bins scatters by about 1 / sqrt(2 m) itself
+    nperseg = 2 * (f.size - 1)
+    k = 2 * n // nperseg - 1
+    w = np.hanning(nperseg + 1)[:-1]
+    rho = (np.sum(w[: nperseg // 2] * w[nperseg // 2:]) / np.sum(w**2)) ** 2
+    expected = 10 / np.log(10) * np.sqrt(2 * (1 + 2 * (k - 1) / k * rho) / k)
+    assert abs(scatter / expected - 1) <= 4 / np.sqrt(2 * band.sum())
 
 
 @pytest.mark.parametrize("given", ["nan", "inf", "-inf", "1.5", "0", "1", "3", "-4", "65537"])

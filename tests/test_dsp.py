@@ -71,8 +71,8 @@ def synth_spectrum(name):
 SYNTH_DIGESTS = {
     ("flat", 1): "24357e360e3a940efbaff55ef0c6df06702cda91823934b7dac64deea114e136",
     ("flat", 42): "97fd6b7d8555ec2a937273632921eb115cf4eab7a9a73e778ed878b3c15f7ee3",
-    ("model", 1): "04b265731d7f7774fb5b192287a55216844d35dd592a275497da24e3de201533",
-    ("model", 42): "2312ced0e325a56b358da91dc2a5fa47beb0a84bfaa8768204084e314699b206",
+    ("model", 1): "67c3a74ae55b6957d4827d32baa9d179f62228671047a9ebb053cf7e8e0c4210",
+    ("model", 42): "76bcbaf0ffb5fd371271a7624ac7448cc6b5ff43e486553127d455457d93954a",
 }
 
 
@@ -93,7 +93,7 @@ EDGE_DIGESTS = {
     ("model", 2): "0aeb33ad2898e2ba407c5a1b774dcfcc2c26b712e32906e4c03234e59fd5d5bb",
     ("model", 4): "b00ac261f43bdfb4a175564c547888d3473f32e6471d09c8a9b00859d0667668",
     ("model", 2**10): "e661b030562aa22f7285c4127fcce518e0f57b48ec99e217e3d096d6a36a87b4",
-    ("model", 2**20): "c8df54f96d677665fb7f9b57058af0054dd2343cf858eb833e99b4352d5fbfc5",
+    ("model", 2**20): "fb0eb5a799a4e6a3dbe6ed02a8872ae0285ddac93f6edf27847958425ec67b8d",
 }
 
 

@@ -325,12 +325,15 @@ def calls_digest(counting):
 def _assert_within_its_error(spectrum, window, exact):
     """|value - exact| <= the returned error. A jump just beyond x = 1000 / T
     can make the lobe-average term alone exceed the tolerance, and no
-    bisection reduces that term: the engine then bisects up to its cap and
-    refuses, naming the lobe average as the largest error left."""
+    bisection reduces that term: the engine then refuses before any
+    bisection, after the 3 lobe-table chunks and the one call, naming the
+    lobe average."""
+    counting = _Counting(spectrum)
     try:
-        value, err = pulsed_variance_with_error(spectrum, window)
+        value, err = pulsed_variance_with_error(counting, window)
     except RuntimeError as exc:
-        assert "the largest error left is in the lobe average" in str(exc)
+        assert "the lobe average beyond" in str(exc) and "no refinement reduces it" in str(exc)
+        assert len(counting.calls) == 4
         return
     assert abs(value - exact) <= err
 
@@ -346,7 +349,7 @@ windows = st.floats(1e-8, 1e-3).map(PulsedWindow)
 )
 @example(PulsedWindow(2.0**-20), [3.5, 7.25, 7.75, 2500.25], [1.0, 0.3, 2.0, 0.5, 0.6])
 # a jump of 3.9375 at 1001 lobes, whose lobe-average term is 1.0e-6 of the
-# variance: the refusal
+# variance: refused before any bisection
 @example(PulsedWindow(0.0009935658353893498), [1001.0], [0.0625, 1.0, 1.0, 1.0, 4.0])
 def test_piecewise_spectra_are_within_their_error_of_the_sine_integral(window, lobes_at, levels):
     # breakpoints placed in lobes (b T): inside and on the edges of
@@ -688,28 +691,29 @@ def test_gauss_legendre_constants_are_leggauss_bit_for_bit():
 
 
 # float.hex of (value, error) on the windows np.logspace(-8, -3, 11), frozen
-# from the engine that made one spectrum call per panel set; the engine may
-# batch its spectrum calls, but must return these bits. The clamped-chain
-# rows ("minus", "plus") also rest on the rounding of the detector response
-# eta S + (1 - eta), and are refrozen when ROADMAP item 1 declares the clamp
-# knee as a breakpoint. Every value rests on the lobe-table weights, so on
-# np.sin, whose float64 loop numpy picks by CPU: these bits (and the
-# breakpoint table below) were frozen with numpy 2.4.6 on an x86-64 CPU with
-# AVX512_SKX, where numpy takes the SVML loop. Elsewhere the libm loop can
-# differ in the last bits, and a failure there is no engine change until the
-# tables, refrozen from the one-call-per-panel-set engine on that host, differ.
+# from the engine that sums the panel table in table order and bisects the
+# first panel of any tied for the largest error. The clamped-chain rows
+# ("minus", "plus") also rest on the rounding of the scaled relaxation
+# Lorentzian and the detector response eta S + (1 - eta), and are refrozen
+# when ROADMAP item 1 declares the clamp knee as a breakpoint. Every value
+# rests on the lobe-table weights, so on np.sin, whose float64 loop numpy
+# picks by CPU: these bits (and the breakpoint table below) were frozen with
+# numpy 2.4.6 on an x86-64 CPU with AVX512_SKX, where numpy takes the SVML
+# loop. Elsewhere the libm loop can differ in the last bits, and a failure
+# there is no engine change until the tables, refrozen from this engine on
+# that host, differ.
 FROZEN_SWEEP = {
     "piecewise": (
-        ("0x1.58c18ae8efee5p-29", "0x1.945b0f3e56857p-66"),
-        ("0x1.1123b825f80e9p-27", "0x1.3efbb33847b55p-64"),
-        ("0x1.b2cd1be872d45p-26", "0x1.f50dc03edc89ap-63"),
-        ("0x1.5f0fecdb6b593p-24", "0x1.84a065dc4b7dbp-61"),
-        ("0x1.27c78573a2baep-22", "0x1.25b7010b38fe4p-59"),
-        ("0x1.15dedf91afc08p-20", "0x1.b8567ed6933b5p-58"),
-        ("0x1.29aab32481f2ap-18", "0x1.593798c1203a2p-56"),
-        ("0x1.010d2202dfc2bp-16", "0x1.4ba38be0eed73p-54"),
+        ("0x1.58c18ae8efee2p-29", "0x1.945b0f3e56857p-66"),
+        ("0x1.1123b825f80e8p-27", "0x1.3efbb33847b55p-64"),
+        ("0x1.b2cd1be872d43p-26", "0x1.f50dc03edc89ap-63"),
+        ("0x1.5f0fecdb6b591p-24", "0x1.84a065dc4b7dbp-61"),
+        ("0x1.27c78573a2badp-22", "0x1.25b7010b38fe4p-59"),
+        ("0x1.15dedf91afc07p-20", "0x1.b8567ed6933b5p-58"),
+        ("0x1.29aab32481f28p-18", "0x1.593798c1203a2p-56"),
+        ("0x1.010d2202dfc2ap-16", "0x1.4ba38be0eed73p-54"),
         ("0x1.9f3302d8de3e0p-15", "0x1.30c81e16cf2d0p-52"),
-        ("0x1.4a89f5457caebp-13", "0x1.03688d6cfe02fp-50"),
+        ("0x1.4a89f5457caeap-13", "0x1.03688d6cfe02fp-50"),
         ("0x1.05e1080565abfp-11", "0x1.a9a0cfcda9e1bp-49"),
     ),
     "flat": (
@@ -726,30 +730,30 @@ FROZEN_SWEEP = {
         ("0x1.0624dd2f20673p-11", "0x1.34137ac5c2a7fp-48"),
     ),
     "minus": (
-        ("0x1.4bd924a1af244p-29", "0x1.c58853d8be4e4p-51"),
-        ("0x1.a9d2f4aeb7155p-28", "0x1.3901e45205b16p-49"),
-        ("0x1.4ee971c9f3edcp-26", "0x1.0b425876757b3p-49"),
-        ("0x1.30d127164e6eap-24", "0x1.852d2250ac680p-45"),
+        ("0x1.4bd924a1af244p-29", "0x1.c58853d8b8efep-51"),
+        ("0x1.a9d2f4aeb7156p-28", "0x1.3901e45205b16p-49"),
+        ("0x1.4ee971c9f3eddp-26", "0x1.0b425875690bbp-49"),
+        ("0x1.30d127164e6e9p-24", "0x1.852d2250d6d96p-45"),
         ("0x1.f0ca15f9128ecp-23", "0x1.e992bc9047d70p-43"),
-        ("0x1.18f18be53ea32p-20", "0x1.ac3eac709e133p-41"),
-        ("0x1.331fc7ba72e4ap-18", "0x1.f6d26aeeb8d03p-50"),
-        ("0x1.0213f13538946p-16", "0x1.0387943885ec4p-36"),
-        ("0x1.9fba386c7803fp-15", "0x1.ee917b1017d1cp-53"),
-        ("0x1.4aaa6c21a7e09p-13", "0x1.4c2ef346a4eabp-40"),
-        ("0x1.05e9caa667667p-11", "0x1.be298394c26e9p-41"),
+        ("0x1.18f18be53ea33p-20", "0x1.ac3eac709c6adp-41"),
+        ("0x1.331fc7ba72e4bp-18", "0x1.f6d26ae97aa2dp-50"),
+        ("0x1.0213f13538946p-16", "0x1.0387943885e72p-36"),
+        ("0x1.9fba386c7803fp-15", "0x1.ee917acb6f107p-53"),
+        ("0x1.4aaa6c21a7e09p-13", "0x1.4c2ef346a5805p-40"),
+        ("0x1.05e9caa667667p-11", "0x1.be298394c21cap-41"),
     ),
     "plus": (
         ("0x1.4a856da5687f4p-29", "0x1.592270aa7fc34p-52"),
-        ("0x1.a337d9344b706p-28", "0x1.8d18a32607a19p-48"),
-        ("0x1.3ef6fdefe4688p-26", "0x1.f4619bdc390fbp-47"),
-        ("0x1.13dff68159492p-24", "0x1.9e14075441460p-45"),
-        ("0x1.ebc3c6eee5019p-23", "0x1.5309de754d1f2p-43"),
-        ("0x1.17569ae1a0a57p-20", "0x1.752f83f3474cfp-41"),
-        ("0x1.32a974e0ad0ecp-18", "0x1.b635cb4b3f76dp-51"),
-        ("0x1.01f68fc81acbdp-16", "0x1.0bd1688643e9ep-38"),
-        ("0x1.9fab6650be621p-15", "0x1.ed3ba272ce8e3p-53"),
-        ("0x1.4aa6b9b270bbdp-13", "0x1.50221202d01e1p-40"),
-        ("0x1.05e8dd67b75d7p-11", "0x1.bc7428b5dc752p-41"),
+        ("0x1.a337d9344b706p-28", "0x1.8d18a3260be03p-48"),
+        ("0x1.3ef6fdefe4687p-26", "0x1.f4619bdc390fdp-47"),
+        ("0x1.13dff68159493p-24", "0x1.9e140754567ecp-45"),
+        ("0x1.ebc3c6eee5015p-23", "0x1.5309de754d1f2p-43"),
+        ("0x1.17569ae1a0a57p-20", "0x1.752f83f347820p-41"),
+        ("0x1.32a974e0ad0ebp-18", "0x1.b635cb55bbd19p-51"),
+        ("0x1.01f68fc81acbfp-16", "0x1.0bd1688643e3bp-38"),
+        ("0x1.9fab6650be621p-15", "0x1.ed3ba26c40d57p-53"),
+        ("0x1.4aa6b9b270bbdp-13", "0x1.50221202d0200p-40"),
+        ("0x1.05e8dd67b75d7p-11", "0x1.bc7428b5ddae8p-41"),
     ),
     "opo": (
         ("0x1.1e1376beeb0c9p-29", "0x1.c0834b1904d8fp-55"),
@@ -802,7 +806,7 @@ def test_sweep_points_call_the_spectrum_as_frozen(name):
 # one breakpoint, in lobes (b T) at T = 2^-20 s, where b T is exact: inside a
 # lobe, on a lobe edge, and beyond x = 1000 / T; frozen like FROZEN_SWEEP
 @pytest.mark.parametrize("lobes_at, value, error", [
-    (3.5, "0x1.fa0c1d19dbc4fp-22", "0x1.93f1ab35ee834p-59"),
+    (3.5, "0x1.fa0c1d19dbc4ep-22", "0x1.93f1ab35ee834p-59"),
     (3.0, "0x1.f91ef07d7b424p-22", "0x1.99419d35ee834p-59"),
     (2500.25, "0x1.fffde01731987p-22", "0x1.1dfb300ea6c74p-51"),
 ])
@@ -822,21 +826,20 @@ def _square_wave(period):
 # outcome() of square waves, frozen like FROZEN_SWEEP. A period of 1e-7 s or
 # 5e-9 s gives jumps at whole fractions of a lobe, where bisections leave two
 # to five panels with one error, and converges; 3.3e-6 s, the refinement-cap
-# test's wave, runs into the cap, with its exact message. In each the tie
-# rule picks a panel other than the first of the tied rows in the table (72,
-# 26 and 3 times), so a tie broken another way bisects another panel, whose
-# nodes change the digest of the spectrum calls even where the result comes
-# out the same
+# test's wave, runs into the cap, with its exact message. A tie goes to the
+# first of the tied rows in the table; one broken another way bisects
+# another panel, whose nodes change the digest of the spectrum calls even
+# where the result comes out the same
 FROZEN_TIES = {
-    (1e-7, 1e-6): (("0x1.0a8e1ed13fd6fp-20", "0x1.1719171316932p-40"), 992, "300609fd74b469d3"),
-    (5e-9, 1e-7): (("0x1.abfd4fe471203p-24", "0x1.bf2a053986f8ap-44"), 513, "2081aa64045631a4"),
+    (1e-7, 1e-6): (("0x1.0a8e1ed13fd6fp-20", "0x1.1719171316932p-40"), 992, "e67f05a2131f0440"),
+    (5e-9, 1e-7): (("0x1.abfd4fe471203p-24", "0x1.bf2a053986f8ap-44"), 513, "a4396747280e6eab"),
     (3.3e-6, 1e-6): (
         ("RuntimeError",
          "window-variance quadrature did not reach the requested tolerance in 5008 panels; "
          "the largest error left is in the near field: 1.29e-11 against a variance of "
          "7.88e-07; if the spectrum diverges at low frequency, clamp it (e.g. with "
          "clamp_to_shot_below) to model a feedback-stabilized source"),
-        4004, "3ec1a8ceb1348913"),
+        4004, "17b8c7b5f18fb180"),
 }
 
 
@@ -845,11 +848,49 @@ def test_ties_are_broken_as_frozen(period, t):
     assert outcome(_square_wave(period), PulsedWindow(t)) == FROZEN_TIES[period, t]
 
 
+def _square_wave_closed_form(period, t):
+    """The square wave's window variance band by band, as in
+    _sine_integral_closed_form: 1.5 T / 2 for its mean, and half the
+    alternating sum of the bands' Si terms, which mpmath's nsum accelerates.
+    Its bands are t / (2 period) lobes wide."""
+    with mpmath.workdps(30):
+        lobes = mpmath.mpf(t) / (2 * mpmath.mpf(period))
+
+        def upto(k):
+            x = mpmath.pi * lobes * k
+            return mpmath.si(2 * x) - mpmath.sin(x) ** 2 / x if k else mpmath.mpf(0)
+
+        alternating = mpmath.nsum(lambda k: (-1) ** int(k) * (upto(k + 1) - upto(k)),
+                                  [0, mpmath.inf])
+        return float(t / mpmath.pi * (mpmath.mpf(1.5) * mpmath.pi / 2 + alternating / 2))
+
+
+# the converging rows of FROZEN_TIES, whose ties the first-row rule breaks,
+# judged by accuracy as well as by their bits
+@pytest.mark.parametrize("period, t", [(1e-7, 1e-6), (5e-9, 1e-7)])
+def test_ties_broken_by_the_first_row_converge_within_their_error(period, t):
+    value, err = pulsed_variance_with_error(_square_wave(period), PulsedWindow(t))
+    assert abs(value - _square_wave_closed_form(period, t)) <= err
+
+
 def test_refinement_cap_names_the_largest_error_source():
     # a square wave with undeclared jumps every 0.15 lobes: each jump needs
     # its own run of bisections, more than the refinement budget allows
     with pytest.raises(RuntimeError, match=r"panels.*near field.*clamp"):
         pulsed_variance(_square_wave(3.3e-6), T_1US)
+
+
+def test_a_far_jump_no_bisection_can_help_is_refused_before_any():
+    # a jump of 3.9375 at 1001 lobes: its lobe-average term alone is 1.0e-6
+    # of the variance, however the panels were refined
+    counting = _Counting(PiecewiseSpectrum((1007482.3070055916,), (0.0625,), 4.0))
+    with pytest.raises(RuntimeError) as exc:
+        pulsed_variance_with_error(counting, PulsedWindow(0.0009935658353893498))
+    assert str(exc.value) == (
+        "window-variance quadrature cannot reach the requested tolerance: the lobe average "
+        "beyond 1.00648e+06 Hz drops 3.15e-11 against a variance of 3.12e-05, and no "
+        "refinement reduces it; its largest term is the jump at 1.00748e+06 Hz (1001 lobes)")
+    assert len(counting.calls) == 4  # the 3 lobe-table chunks and the one call
 
 
 @pytest.mark.parametrize("spectrum, far_bp", [

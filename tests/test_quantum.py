@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from conftest import OMEGA, SUPERPOSITION, physical_by_eigenvalues
 from sqzsim import (
-    ModeVariancePair,
     OpoParams,
     antisqueezed_variance,
     duan_inseparability,
@@ -16,26 +15,28 @@ from sqzsim import (
 
 
 def test_duan_examples():
-    assert duan_inseparability(ModeVariancePair(1.0, 1.0)) == 1.0
-    assert_allclose(duan_inseparability(ModeVariancePair(0.33, 0.33)), 0.33)
-    assert_allclose(duan_inseparability(ModeVariancePair(0.5, 0.7)), 0.6)
+    assert duan_inseparability(1.0, 1.0) == 1.0
+    assert_allclose(duan_inseparability(0.33, 0.33), 0.33)
+    assert_allclose(duan_inseparability(0.5, 0.7), 0.6)
+    got = duan_inseparability(np.array([0.5, 1.0]), np.array([0.7, 1.0]))
+    assert_allclose(got, [0.6, 1.0])
 
 
 def test_duan_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        ModeVariancePair(0.0, 1.0)
-    with pytest.raises(ValueError):
-        ModeVariancePair(1.0, -0.3)
+    for s_plus, s_minus, name in ((0.0, 1.0, "s_plus"), (1.0, -0.3, "s_minus"),
+                                  (np.inf, 1.0, "s_plus"), (1.0, np.nan, "s_minus"),
+                                  (np.array([1.0, -0.0]), 1.0, "s_plus")):
+        with pytest.raises(ValueError, match=f"{name} must be finite and strictly positive"):
+            duan_inseparability(s_plus, s_minus)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.0, max_value=3.0))
 def test_duan_of_rotated_tmsv_is_exp_minus_2r(r):
-    # the two-mode squeezed vacuum in the superposition basis: S+- = e^(+-2r),
-    # and both squeezed quadratures (p+, x-) carry S- = e^(-2r)
+    # the two-mode squeezed vacuum in the superposition basis: both squeezed
+    # quadratures (p+, x-) carry S = e^(-2r), both anti-squeezed ones A = e^(2r)
     s_sq, s_anti = np.exp(-2 * r), np.exp(2 * r)
-    pair = ModeVariancePair(s_plus=s_sq, s_minus=s_sq)
-    assert_allclose(duan_inseparability(pair), np.exp(-2 * r), rtol=1e-12, atol=1e-12)
+    assert_allclose(duan_inseparability(s_sq, s_sq), np.exp(-2 * r), rtol=1e-12, atol=1e-12)
     assert obeys_uncertainty(s_sq, s_anti)
 
 
@@ -48,7 +49,8 @@ def test_rotation_is_an_orthogonal_symplectic_involution():
 
 def test_rotation_of_tmsv_gives_pure_squeezing():
     # the two-mode squeezed vacuum, built in the signal/idler basis, becomes
-    # diag(S+, S-, S-, S+) with S+- = e^(+-2r), the form obeys_uncertainty assumes
+    # diag(A+, S+, S-, A-) with S = e^(-2r) and A = e^(2r), the form
+    # obeys_uncertainty assumes
     for r in (0.1, 0.5, 1.3):
         c, s = np.cosh(2 * r), np.sinh(2 * r)
         tmsv = np.array([[c, 0, s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, -s, 0, c]])

@@ -280,16 +280,16 @@ FROZEN_DIGESTS = {
     "defaults": {
         "squeezed_variance": "f41677d043f06560",
         "antisqueezed_variance": "ee5fb61ffc487be8",
-        "excess_noise plus": "192f627f7a9e4813",
-        "total_spectrum plus": "7017f363ff6f457d",
-        "observe_corrected plus": "4520ccfc4f4490ec",
-        "observe plus": "4e5651717f73f802",
-        "clamp_to_shot_below plus": "05ed42ea4518a51f",
-        "excess_noise minus": "bca88be0c9c73af7",
-        "total_spectrum minus": "e9a0e1364353cd95",
-        "observe_corrected minus": "89ff3701507e1571",
-        "observe minus": "9239bb1eb91e0a94",
-        "clamp_to_shot_below minus": "6d5fb1d0587b80f8",
+        "excess_noise plus": "4af578f89f02630a",
+        "total_spectrum plus": "80eead2a3a2752de",
+        "observe_corrected plus": "5a53f57fdf850deb",
+        "observe plus": "43f86f8eec579b84",
+        "clamp_to_shot_below plus": "e1e6d6ebc5ea6168",
+        "excess_noise minus": "2f653506eaf6b4bc",
+        "total_spectrum minus": "8afa064bed6cd6e7",
+        "observe_corrected minus": "f7b42a348ea15e8c",
+        "observe minus": "958155abc8d1d2f2",
+        "clamp_to_shot_below minus": "59f2790f8ab9c248",
     },
     # no excess: the total is the squeezed variance, and the clamp acts on
     # nothing, bit for bit
