@@ -30,17 +30,25 @@ declares a handful of breakpoints, so their positions b T and the panel
 edges are worked out in Python floats. The lobe table is evaluated in chunks
 of at most 8192 nodes; one spectrum call covers everything else (the
 far-field breakpoints, x and the nodes of the whole generic set), and the
-set's GL16 and GL8 sums are taken in one pass, as are those of the two
-halves of each bisection. One panel table holds the whole lobes, then the
-generic set, with a side column; its worst panel, the first row of any tied
-for the largest error, is bisected until the summed estimate (16 nodes,
-checked against 8) meets the relative tolerance. Its row takes the left
-half in place, the right half is appended as a new row, and one running
-sum per column changes by the halves' difference; the result sums the
-table's columns in table order. The returned error adds what the lobe
-average drops: S(x) T / (4 pi^4 N^3) for the smooth far field and
-|dS| / (4 pi^3 T b^2) per jump dS at a b > x. No bisection reduces that
-term, so where it alone exceeds the tolerance the engine refuses at once.
+set's GL16 and GL8 sums are taken in one pass. One panel table holds the
+whole lobes, then the generic set, with a side column; its worst panel, the
+first row of any tied for the largest error, is bisected until the summed
+estimate (16 nodes, checked against 8) meets the relative tolerance. Its
+row takes the left half in place, the right half is appended as a new row,
+and one running sum per column changes by the halves' difference; the
+result sums the table's columns in table order. A bisection whose halves
+are not known yet looks ahead: the panel's bisection subtree, three levels
+deep (14 panels, 336 nodes, each edge the midpoint 0.5 (lo + hi) that a
+later bisection forms), takes one spectrum call and one pass of sums, and
+the halves of each subtree panel are kept by (side, start, end), so the
+next two levels of bisection down that panel call the spectrum no more.
+So the spectrum is evaluated at nodes of panels that may never be
+bisected; they lie inside the integration range, so a value there that is
+not finite, or is negative, is refused like any other. The returned error
+adds what the lobe average drops: S(x) T / (4 pi^4 N^3) for the smooth far
+field and |dS| / (4 pi^3 T b^2) per jump dS at a b > x. No bisection
+reduces that term, so where it alone exceeds the tolerance the engine
+refuses at once.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ _N_LOBES = 1_000
 _REL_TOL = 1e-6
 _MAX_REFINEMENTS = 4000
 _CHUNK_NODES = 8192
+_LOOKAHEAD = 3
 
 
 @dataclass(frozen=True)
@@ -315,6 +324,7 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
         )
     err_sum += averaging_err
 
+    halves = {}  # (side, start, end) of a panel: its halves' GL16 values, then errors
     while err_sum > _REL_TOL * abs(value_sum) and abs(value_sum) != 0.0:
         if n == side.size:
             near = float(np.sum(error[:n][side[:n] == 0]))
@@ -332,14 +342,25 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
                 "clamp_to_shot_below) to model a feedback-stabilized source"
             )
         # bisect the worst panel, the first of any tied for the largest
-        # error: its halves' 48 nodes in one spectrum call
+        # error. Halves not known yet come with those of the panel's whole
+        # bisection subtree, _LOOKAHEAD levels deep, from one spectrum call:
+        # its panels in heap order (panel i has the halves 2i + 1 and
+        # 2i + 2), each edge formed as mid is, so that a row bisected later
+        # finds its halves by key
         w = int(error[:n].argmax())
         a, b, k = start.item(w), end.item(w), side.item(w)
         mid = 0.5 * (a + b)
-        half, z = _gl_nodes(np.array((a, mid)), np.array((mid, b)))
-        (fine_a, fine_b), (err_a, err_b) = (
-            col.tolist() for col in _gl_sums(half, integrand(k, z, s(nu(k, z))))
-        )
+        if (k, a, b) not in halves:
+            lo, hi = [a], [b]
+            for i in range(2**_LOOKAHEAD - 1):
+                m = 0.5 * (lo[i] + hi[i])
+                lo += lo[i], m
+                hi += m, hi[i]
+            half, z = _gl_nodes(np.array(lo[1:]), np.array(hi[1:]))
+            f, e = (col.tolist() for col in _gl_sums(half, integrand(k, z, s(nu(k, z)))))
+            for i in range(2**_LOOKAHEAD - 1):
+                halves[k, lo[i], hi[i]] = f[2 * i], f[2 * i + 1], e[2 * i], e[2 * i + 1]
+        fine_a, fine_b, err_a, err_b = halves.pop((k, a, b))
         value_sum += (fine_a + fine_b) - value.item(w)
         err_sum += (err_a + err_b) - error.item(w)
         # the left half overwrites the panel's row, the right half is appended

@@ -108,3 +108,34 @@ def test_threshold_and_parameter_validation():
 def test_negative_frequency_rejected():
     with pytest.raises(ValueError):
         squeezed_variance(LOSSLESS_HALF, -1.0)
+
+
+def _langevin_spectra(sigma, eta, omega):
+    """Each superposition mode's symmetrized output spectrum from input-output
+    theory (Collett & Gardiner 1984), solved numerically: S = Re(M M^H + N N^H)
+    with M = 2 eta (i omega - A)^-1 - 1 and N = 2 sqrt(eta (1 - eta))
+    (i omega - A)^-1, for the drift matrix A = diag(-(1 - sigma), -(1 + sigma))
+    in cavity half-widths. Returns the anti-squeezed then the squeezed entry of
+    the diagonal, one per parameter set."""
+    drift = np.zeros((sigma.size, 2, 2))
+    drift[:, 0, 0], drift[:, 1, 1] = -(1.0 - sigma), -(1.0 + sigma)
+    r = np.linalg.inv(1j * omega[:, None, None] * np.eye(2) - drift)
+    m = 2.0 * eta[:, None, None] * r - np.eye(2)
+    n = 2.0 * np.sqrt(eta * (1.0 - eta))[:, None, None] * r
+    s = (m @ m.conj().transpose(0, 2, 1) + n @ n.conj().transpose(0, 2, 1)).real
+    return s[:, 0, 0], s[:, 1, 1]
+
+
+def test_closed_forms_match_the_linear_langevin_solve():
+    rng = np.random.default_rng(20)
+    n = 1000
+    sigma = rng.uniform(0.0, 0.999, n)
+    eta = 1.0 - rng.uniform(0.0, 1.0, n)  # in (0, 1]
+    hwhm = 10.0 ** rng.uniform(5.0, 9.0, n)
+    f = hwhm * 10.0 ** rng.uniform(-4.0, 3.0, n)
+    anti, squeezed = _langevin_spectra(sigma, eta, f / hwhm)
+    params = [OpoParams(*p) for p in zip(sigma, hwhm, eta)]
+    assert_allclose([antisqueezed_variance(p, x) for p, x in zip(params, f)], anti,
+                    rtol=1e-14, atol=2e-15)
+    assert_allclose([squeezed_variance(p, x) for p, x in zip(params, f)], squeezed,
+                    rtol=1e-14, atol=2e-15)
