@@ -11,6 +11,12 @@ Conventions, fixed so golden outputs stay stable:
   seeded with the caller's seed (see synthesize).
 * Welch: periodic Hann window, 50% overlap, no detrending, computed in
   numpy (no scipy import) over a read-only strided view of the segments.
+* synthesize and welch_psd each run one helper thread beside the caller
+  and join it before they return. The work is split so that every value
+  is made by the same operations in the same order as on one thread:
+  the helper alone draws the generator's normals, in stream order, and
+  Welch's block sums are added in block order on the caller. Records and
+  PSDs are byte-identical to single-threaded ones.
 * Analyzer emulation: Gaussian resolution-bandwidth kernel (FWHM = rbw),
   video bandwidth modeled as post-detection power averaging over
   n_avg = max(1, round(rbw / (2 vbw))) looks (RMS detector).
@@ -21,6 +27,8 @@ bit for bit from (inputs, seed).
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +101,11 @@ class Trace:
         values = np.asarray(self.values_db, dtype=np.float64)
         if freqs.ndim != 1 or freqs.shape != values.shape:
             raise ValueError("freqs and values_db must be 1-d arrays of equal length")
+        bad = np.flatnonzero(~np.isfinite(freqs))
+        if bad.size:  # a NaN compares false with its neighbours
+            more = f" and {bad.size - 1} more" if bad.size > 1 else ""
+            raise ValueError(f"freqs must be finite, got {float(freqs[bad[0]])!r} at "
+                             f"index {bad[0]}{more}")
         if np.any(np.diff(freqs) <= 0):
             raise ValueError("freqs must be strictly ascending")
         if not (self.rbw >= self.vbw > 0):
@@ -140,9 +153,15 @@ def synthesize(spectrum, sample_rate: float, n_samples: int, seed: int) -> TimeS
     k-th pair of default_rng(seed).standard_normal, k = 1 .. n/2. The
     Nyquist bin k = n/2 is real, x_k sqrt(n S), as it has no twin; its y_k
     is drawn and discarded. The bins are the only record-sized array before
-    the transform: the spectrum is evaluated, checked and turned into
-    amplitudes _SYNTH_BLOCK frequencies at a time, and each block's normals
-    are drawn straight into its bins and scaled there.
+    the transform, and they are filled _SYNTH_BLOCK at a time. A helper
+    thread draws each block's normal pairs straight into its bins; it is
+    the only user of the generator, so the stream order is that of one
+    thread. Meanwhile the calling thread evaluates and checks the block's
+    spectrum and turns it into amplitudes, then scales the block in place
+    once its draws are in. The spectrum is only ever called on the calling
+    thread, and each bin is the same product as on one thread, so records
+    keep their bytes. An error on either thread stops the other before its
+    next block and is raised here, in the order one thread would meet it.
     """
     n_samples, df = record_grid(sample_rate, n_samples)
     samples = np.fft.irfft(_fourier_bins(spectrum, df, n_samples, seed), n_samples)
@@ -166,45 +185,100 @@ def record_grid(sample_rate: float, n_samples) -> tuple[int, float]:
 
 
 def _fourier_bins(spectrum, df: float, n_samples: int, seed: int) -> np.ndarray:
-    """The scaled Fourier bins of synthesize, filled _SYNTH_BLOCK bins at a
-    time: the block's spectrum, its checks, its amplitudes, its normals and
-    its scaling, in one pass; only the bins outlive the loop."""
+    """The scaled Fourier bins of synthesize, filled as it describes; the
+    block temporaries and the helper thread are gone when this returns,
+    before the transform."""
     half = n_samples // 2
     rng = np.random.default_rng(seed)
     bins = np.empty(half + 1, dtype=complex)
     bins[0] = 0.0
     pairs = bins.view(float).reshape(half + 1, 2)  # each bin's (real, imag)
+    starts = range(0, half, _SYNTH_BLOCK)
+
+    def draws():
+        # touches only the generator and the bins; may run blocks ahead
+        for a in starts:
+            z = pairs[a + 1:min(a + _SYNTH_BLOCK, half) + 1]
+            rng.standard_normal(out=z)
+            yield z
+
     f_bad = None
-    for a in range(0, half, _SYNTH_BLOCK):
-        freqs = np.arange(a + 1, min(a + _SYNTH_BLOCK, half) + 1) * df
-        target = np.asarray(spectrum(freqs), dtype=float)
-        if not np.isfinite(target).all():
-            raise ValueError("spectrum must be finite on (0, sample_rate/2]")
-        if f_bad is not None:
-            continue
-        negative = target < 0
-        if negative.any():
-            f_bad = float(freqs[negative][0])
-            continue
-        # out of place: the spectrum's own result may be read-only or shared
-        with np.errstate(over="ignore"):
-            amp = np.multiply(n_samples, target)
-        if amp.max() == np.inf:
-            i = int(amp.argmax())
-            raise ValueError(
-                f"spectrum is {target[i]:.6g} at {freqs[i]:.6g} Hz, too large for "
-                f"a record of {n_samples} samples: n S leaves the float range")
-        # a bin with a negative-frequency twin splits n S between its two
-        # parts; the Nyquist bin, last of the last block, has none
-        amp[:half - 1 - a] *= 0.5
-        np.sqrt(amp, out=amp)
-        z = pairs[a + 1:a + 1 + amp.size]
-        rng.standard_normal(out=z)
-        z *= amp[:, None]
+    with _Helper(draws(), "synthesize-draws") as drawn:
+        for a in starts:
+            freqs = np.arange(a + 1, min(a + _SYNTH_BLOCK, half) + 1) * df
+            target = np.asarray(spectrum(freqs), dtype=float)
+            if not np.isfinite(target).all():
+                raise ValueError("spectrum must be finite on (0, sample_rate/2]")
+            if f_bad is not None:
+                continue
+            negative = target < 0
+            if negative.any():
+                f_bad = float(freqs[negative][0])
+                drawn.stop()  # no bin is needed now
+                continue
+            # out of place: the spectrum's own result may be read-only or shared
+            with np.errstate(over="ignore"):
+                amp = np.multiply(n_samples, target)
+            if amp.max() == np.inf:
+                i = int(amp.argmax())
+                raise ValueError(
+                    f"spectrum is {target[i]:.6g} at {freqs[i]:.6g} Hz, too large for "
+                    f"a record of {n_samples} samples: n S leaves the float range")
+            # a bin with a negative-frequency twin splits n S between its two
+            # parts; the Nyquist bin, last of the last block, has none
+            amp[:half - 1 - a] *= 0.5
+            np.sqrt(amp, out=amp)
+            z = drawn.take()
+            z *= amp[:, None]
     if f_bad is not None:
         raise ValueError(f"spectrum is negative at {f_bad:.6g} Hz")
     pairs[-1, 1] = 0.0  # the Nyquist bin is real
     return bins
+
+
+class _Helper:
+    """One helper thread that runs an iterator ahead of the caller, who
+    takes its items in order with take(). The helper's exception is raised
+    by the take() that would have returned the item it failed on, so the
+    caller's own checks of the earlier blocks come first. Leaving the with
+    block, or stop(), stops the helper before its next item; the with
+    block joins it, so no thread outlives the call."""
+
+    def __init__(self, items, name: str):
+        self._items = items
+        self._done = deque()  # items, or the exception that ended them
+        self._ready = threading.Semaphore(0)
+        self._stopped = threading.Event()
+        self._thread = threading.Thread(target=self._run, name=name)
+
+    def _run(self):
+        try:
+            for item in self._items:
+                self._done.append(item)
+                self._ready.release()
+                if self._stopped.is_set():
+                    return
+        except BaseException as exc:  # take() re-raises it; it must not wait in vain
+            self._done.append(exc)
+            self._ready.release()
+
+    def take(self):
+        self._ready.acquire()
+        item = self._done.popleft()
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    def stop(self):
+        self._stopped.set()
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.stop()
+        self._thread.join()
 
 
 def welch_psd(ts: TimeSeries, rbw: float) -> TabulatedSpectrum:
@@ -215,6 +289,12 @@ def welch_psd(ts: TimeSeries, rbw: float) -> TabulatedSpectrum:
     integrates to the sample variance over [0, fs/2]). Trailing samples that
     do not fill a segment are dropped (Welch, IEEE Trans. Audio Electroacoust.
     15, 1967), but like every other sample they must be finite.
+
+    The segments are transformed in blocks of about _WELCH_BLOCK_SAMPLES
+    samples, and each block's |X|^2 is summed over its segments. The
+    calling thread takes the even blocks and a helper thread the odd ones,
+    each in buffers of its own; the caller adds the block sums into the
+    PSD in block order, so the PSD has the bytes of a single-threaded sum.
     """
     in_domain("rbw", rbw, f"(0, {2.0 * ts.sample_rate!r})")
     # the smallest power of two whose bin spacing is at most rbw / 2; inf
@@ -231,13 +311,41 @@ def welch_psd(ts: TimeSeries, rbw: float) -> TabulatedSpectrum:
     segments = np.lib.stride_tricks.sliding_window_view(ts.samples, nperseg)[:: nperseg // 2]
     window = np.hanning(nperseg + 1)[:-1]
     block = max(1, _WELCH_BLOCK_SAMPLES // nperseg)
-    power = np.zeros(nperseg // 2 + 1)
-    # a non-finite sample, or a PSD beyond the float range, shows in the
-    # result; it is named below rather than warned about here
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(segments), block):
-            spec = np.fft.rfft(segments[start:start + block] * window, axis=-1)
-            power += (spec.real**2 + spec.imag**2).sum(axis=0)
+    starts = range(0, len(segments), block)
+
+    # each thread reuses its own two block buffers: the windowed segments,
+    # whose space then takes |X|^2, and their transforms. Fresh arrays per
+    # block were faulted in anew each time at long segments (16,500 page
+    # faults per estimate of 2^22 samples at rbw 3 kHz, against 700)
+    bins = nperseg // 2 + 1
+    work = np.empty((2, block * nperseg))
+    spec = np.empty((2, block, bins), dtype=complex)
+
+    def block_powers(k):
+        # |X|^2 summed over the segments of each block k, k + 2, ... A
+        # non-finite sample, or a PSD beyond the float range, shows in the
+        # result; it is named below rather than warned about here, on
+        # either thread
+        for start in starts[k::2]:
+            m = min(block, len(segments) - start)
+            windowed, x = work[k, :m * nperseg].reshape(m, nperseg), spec[k, :m]
+            x2 = work[k, :m * bins].reshape(m, bins)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(segments[start:start + m], window, out=windowed)
+                np.fft.rfft(windowed, axis=-1, out=x)
+                np.square(x.real, out=x2)
+                np.square(x.imag, out=x.imag)
+                total = np.add(x2, x.imag, out=x2).sum(axis=0)
+            yield total
+
+    power = np.zeros(bins)
+    # the helper takes the odd blocks, this thread the even ones, and the
+    # block sums are added here in block order
+    even = block_powers(0)
+    with _Helper(block_powers(1), "welch-odd-blocks") as odd, \
+            np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(starts)):
+            power += odd.take() if i % 2 else next(even)
         psd = power / (ts.sample_rate * np.sum(window**2) * len(segments))
         psd[1:-1] *= 2.0  # one-sided: fold in the negative frequencies
     # the samples after the last full segment, fewer than a hop, are read

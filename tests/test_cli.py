@@ -942,16 +942,17 @@ from sqzsim.pulsed import _lobe_table
 # the near-field lobe table is built on first use, not at import
 assert _lobe_table.cache_info().currsize == 0
 out = sys.argv[1]
-# no command starts a thread
-def no_thread(thread):
-    raise AssertionError(f"thread {thread.name} started")
-threading.Thread.start = no_thread
-assert main(["--out", out, "--seed", "1", "pulsed", "--example"]) == 0
+# no thread outlives its command
+def run(*argv):
+    before = threading.enumerate()
+    assert main(["--out", out, "--seed", "1", *argv]) == 0, argv
+    assert threading.enumerate() == before, argv
+run("pulsed", "--example")
 # np.unique would import numpy.ma on its first call
 assert "numpy.ma" not in sys.modules
 for argv in (["spectrum", "--points", "64"], ["synth", "--n-samples", "4096"],
              ["analyze", out + "/timeseries_minus.sqts"], ["criteria"]):
-    assert main(["--out", out, "--seed", "1", *argv]) == 0, argv
+    run(*argv)
 # no executor or pool is imported, and the Gauss-Legendre rules are written
 # out, not taken from numpy.polynomial
 for name in ("concurrent.futures", "multiprocessing", "numpy.polynomial"):

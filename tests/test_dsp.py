@@ -127,14 +127,16 @@ def test_synthesize_names_a_negative_value_in_the_last_block():
 
 
 def test_synthesize_non_finite_beats_an_earlier_negative():
+    before = threading.active_count()
     n = 4 * _SYNTH_BLOCK
     f_nan = np.fft.rfftfreq(n, d=1.0 / FS)[-2]
 
     def spectrum(f):
         return np.where(f < 1e3, -1.0, np.where(f == f_nan, np.nan, 1.0))
 
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match=r"^spectrum must be finite on \(0, sample_rate/2\]$"):
         synthesize(Spectrum(spectrum), FS, n, 1)
+    assert threading.active_count() == before
 
 
 def test_synthesize_failure_leaves_no_thread_running():
@@ -146,6 +148,59 @@ def test_synthesize_failure_leaves_no_thread_running():
     with pytest.raises(ZeroDivisionError):
         synthesize(Spectrum(spectrum), FS, 4 * _SYNTH_BLOCK, 1)
     assert threading.active_count() == before
+
+
+def test_synthesize_raises_a_spectrum_failure_in_block_3_of_4_on_the_caller():
+    # the helper has drawn ahead; it stops and is joined
+    before, calls = threading.active_count(), []
+
+    def spectrum(f):
+        calls.append(f.size)
+        if len(calls) == 3:
+            raise ZeroDivisionError("spectrum failed in block 3")
+        return np.ones_like(f)
+
+    with pytest.raises(ZeroDivisionError, match="^spectrum failed in block 3$"):
+        synthesize(Spectrum(spectrum), FS, 8 * _SYNTH_BLOCK, 1)
+    assert calls == [_SYNTH_BLOCK] * 3
+    assert threading.active_count() == before
+
+
+class _FailingGenerator:
+    """A generator whose draws fail from the given block on, on whichever
+    thread draws them."""
+
+    def __init__(self, fail_at):
+        self.blocks, self.fail_at, self.threads = 0, fail_at, set()
+
+    def standard_normal(self, out):
+        self.threads.add(threading.get_ident())
+        self.blocks += 1
+        if self.blocks >= self.fail_at:
+            raise FloatingPointError(f"draw failed in block {self.blocks}")
+        out[...] = 1.0
+
+
+def test_synthesize_raises_a_generator_failure_on_the_caller(monkeypatch):
+    before, rng = threading.active_count(), _FailingGenerator(fail_at=2)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+    with pytest.raises(FloatingPointError, match="^draw failed in block 2$"):
+        synthesize(Spectrum.flat(1.0), FS, 8 * _SYNTH_BLOCK, 1)
+    # drawn on the helper, which stopped at the failure
+    assert rng.blocks == 2 and threading.get_ident() not in rng.threads
+    assert threading.active_count() == before
+
+
+def test_synthesize_checks_a_block_before_its_draws_fail(monkeypatch):
+    # as on one thread, the block's spectrum is refused before its draws are
+    # taken, and after a negative value no draw is needed
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FailingGenerator(fail_at=2))
+    n = 8 * _SYNTH_BLOCK
+    f_bad = np.fft.rfftfreq(n, d=1.0 / FS)[_SYNTH_BLOCK + 5]  # in block 2
+    with pytest.raises(ValueError, match=f"^spectrum is negative at {f_bad:.6g} Hz$"):
+        synthesize(Spectrum(lambda f: np.where(f >= f_bad, -1.0, 1.0)), FS, n, 1)
+    with pytest.raises(ValueError, match="must be finite"):
+        synthesize(Spectrum(lambda f: np.where(f >= f_bad, np.nan, 1.0)), FS, n, 1)
 
 
 def test_synthesize_calls_the_spectrum_on_the_calling_thread():
@@ -168,6 +223,30 @@ def test_concurrent_syntheses_keep_their_bytes():
 
     def work(i):
         together[i] = synthesize(spectrum, 25e6, n, seeds[i]).samples.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(alone))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert together == alone
+
+
+def test_concurrent_welch_estimates_keep_their_bytes():
+    # three blocks each, so both a caller's and a helper's blocks are summed
+    records = [TimeSeries(25e6, np.random.default_rng(i).standard_normal(80000), 0)
+               for i in range(6)]
+    alone = [welch_psd(ts, 1e5).values.tobytes() for ts in records]
+    together = [None] * len(alone)
+
+    def work(i):
+        together[i] = welch_psd(records[i], 1e5).values.tobytes()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -314,6 +393,57 @@ def test_welch_matches_scipy(n, rbw):
     assert_allclose(psd.values, want, rtol=1e-12, atol=0)
 
 
+# sha256 of welch_psd(TimeSeries(fs, default_rng(n).standard_normal(n), 0),
+# rbw).values, frozen from the build that transformed every segment block
+# on one thread. The block sums must be added in block order, whichever
+# thread made them
+WELCH_DIGESTS = {
+    # 15 segments of 512: one block
+    (4096, 25e6, 1e5): "69f1b0064e14540c5f42cbf4858cb12fbdf5b13d9302f06f416dad9487b52c67",
+    # 255 segments: two blocks
+    (2**16, 25e6, 1e5): "dda158f4fcc0af38016d349b7b2621d9c185d555976ac9f30cd5057daf1fa54b",
+    # 311 segments: three blocks, the last partial
+    (80000, 25e6, 1e5): "1403ef430b58d00719b9b1724c83e008659ea05e29c80c52b1acf3463be96933",
+    # 16,383 segments of 512 in 128 blocks
+    (2**22, 25e6, 1e5): "37dbb42cf6f8b5bb52c47d660fce00cec78a21cdfc6cb576013904395add433f",
+    # 511 segments of 2^14, 4 per block
+    (2**22, 20e6, 3e3): "42c7a6158a2dca86bfe182adf4306ac7bbb21f74ae38261a83374ca1669315b3",
+}
+
+
+@pytest.mark.parametrize("n, fs, rbw", list(WELCH_DIGESTS))
+def test_welch_bytes_are_frozen(n, fs, rbw):
+    samples = np.random.default_rng(n).standard_normal(n)
+    psd = welch_psd(TimeSeries(fs, samples, 0), rbw)
+    assert hashlib.sha256(psd.values.tobytes()).hexdigest() == WELCH_DIGESTS[n, fs, rbw]
+
+
+def test_welch_names_the_first_bad_sample_in_an_odd_block():
+    # segments of 512 in blocks of 128: sample 40000 is read only by block
+    # 1, the helper's, and the later NaN only by block 2, this thread's
+    before = threading.active_count()
+    samples = np.ones(80000)
+    samples[[40000, 75000]] = np.nan
+    with pytest.raises(ValueError, match="^record sample 40000 is nan: a PSD needs finite "
+                                         "samples$"):
+        welch_psd(TimeSeries(25e6, samples, 0), 1e5)
+    assert threading.active_count() == before
+
+
+def test_welch_raises_a_helper_failure_on_the_caller(monkeypatch):
+    before, rfft = threading.active_count(), np.fft.rfft
+
+    def failing_off_the_caller(x, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("rfft failed on the helper")
+        return rfft(x, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", failing_off_the_caller)
+    with pytest.raises(MemoryError, match="^rfft failed on the helper$"):
+        welch_psd(TimeSeries(25e6, np.ones(2**16), 0), 1e5)
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("rbw", [0.0, -1.0, np.nan, np.inf, 2 * FS])
 def test_welch_rejects_rbw_outside_zero_to_twice_the_sample_rate(rbw):
     ts = synthesize(Spectrum.flat(1.0), FS, 2**10, 2)
@@ -458,3 +588,8 @@ def test_trace_validation():
         Trace(np.array([2.0, 1.0]), np.zeros(2), rbw=10.0, vbw=1.0)
     with pytest.raises(ValueError):
         Trace(np.array([1.0, 2.0]), np.zeros(2), rbw=1.0, vbw=10.0)
+    # a NaN compares false with both neighbours, so ascent alone lets it in
+    for freqs, named in (([1.0, np.nan, 3.0], "nan at index 1"),
+                         ([1.0, 2.0, np.inf, np.nan], "inf at index 2 and 1 more")):
+        with pytest.raises(ValueError, match=f"^freqs must be finite, got {named}$"):
+            Trace(np.array(freqs), np.zeros(len(freqs)), rbw=1.0, vbw=1.0)

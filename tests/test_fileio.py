@@ -131,3 +131,12 @@ def test_trace_json_refuses_non_finite_values(tmp_path):
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         write_trace_json(path, trace)
     assert not path.exists()
+
+
+def test_trace_json_refuses_non_finite_frequencies(tmp_path):
+    # json.loads reads NaN and Infinity, which the strictly ascending grid
+    # must not hold
+    path = tmp_path / "trace.json"
+    path.write_text('{"freqs": [1e5, NaN, 3e5], "values_db": [0, 0, 0], "rbw": 1, "vbw": 1}')
+    with pytest.raises(ValueError, match="^freqs must be finite, got nan at index 1$"):
+        read_trace_json(path)
