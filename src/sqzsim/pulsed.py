@@ -18,30 +18,33 @@ take their nodes and weights from one table, built on first use: the
 Gauss-Legendre nodes of each lobe (the 16- and 8-point rules, written out)
 with sinc^2 there folded into the weights, exact to rounding because
 sin^2(pi (k + v)) = sin^2(pi v) keeps the sine's argument within pi/2. The
-far field u > N takes the lobe-averaged kernel 1/(2 pi^2 u^2) in w = N/u,
-where the integrand is S(x/w) / (2 pi^2 N) on (0, 1] (a node whose x/w is
-beyond the float range lies at +inf).
+table is node-major, 24 rows of 1000 lobes, so each lobe's sums are adds of
+whole rows. The far field u > N takes the lobe-averaged kernel
+1/(2 pi^2 u^2) in w = N/u, where the integrand is S(x/w) / (2 pi^2 N) on
+(0, 1] (a node whose x/w is beyond the float range lies at +inf).
 
 Every other panel is generic, and the generic panels are one set: first the
 pieces of each lobe that a spectrum breakpoint falls inside, between its
 sorted distinct edges (side 0, in u), then the far field in eighths of w,
 with the breakpoints beyond x as further edges (side 1, in w). A spectrum
 declares a handful of breakpoints, so their positions b T and the panel
-edges are worked out in Python floats. The lobe table is evaluated in chunks
-of at most 8192 nodes; one spectrum call covers everything else (the
+edges are worked out in Python floats, and a spectrum that declares none
+pays for no cut lobe or far jump. The lobe table is evaluated in blocks of
+8 rows, 8000 nodes a call; one spectrum call covers everything else (the
 far-field breakpoints, x and the nodes of the whole generic set), and the
 set's GL16 and GL8 sums are taken in one pass. One panel table holds the
-whole lobes, then the generic set, with a side column; its worst panel, the
-first row of any tied for the largest error, is bisected until the summed
-estimate (16 nodes, checked against 8) meets the relative tolerance. Its
-row takes the left half in place, the right half is appended as a new row,
-and one running sum per column changes by the halves' difference; the
-result sums the table's columns in table order. A bisection whose halves
-are not known yet looks ahead: the panel's bisection subtree, three levels
-deep (14 panels, 336 nodes, each edge the midpoint 0.5 (lo + hi) that a
-later bisection forms), takes one spectrum call and one pass of sums, and
-the halves of each subtree panel are kept by (side, start, end), so the
-next two levels of bisection down that panel call the spectrum no more.
+whole lobes, then the generic set; its side and edge columns are built
+only when a panel is first bisected. Its worst panel, the first row of any
+tied for the largest error, is bisected until the summed estimate (16
+nodes, checked against 8) meets the relative tolerance. Its row takes the
+left half in place, the right half is appended as a new row, and one
+running sum per column changes by the halves' difference; the result sums
+the table's columns in table order. A bisection whose halves are not known
+yet looks ahead: the panel's bisection subtree, three levels deep (14
+panels, 336 nodes, each edge the midpoint 0.5 (lo + hi) that a later
+bisection forms), takes one spectrum call and one pass of sums, and the
+halves of each subtree panel are kept by (side, start, end), so the next
+two levels of bisection down that panel call the spectrum no more.
 So the spectrum is evaluated at nodes of panels that may never be
 bisected; they lie inside the integration range, so a value there that is
 not finite, or is negative, is refused like any other. The returned error
@@ -75,7 +78,6 @@ _N_FINE = 16
 _N_LOBES = 1_000
 _REL_TOL = 1e-6
 _MAX_REFINEMENTS = 4000
-_CHUNK_NODES = 8192
 _LOOKAHEAD = 3
 
 
@@ -121,11 +123,16 @@ class PiecewiseSpectrum:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "tail_value", tail)
+        # the arrays a call looks up, built once; they are no fields, so
+        # equality, repr and dataclasses.replace see the tuples alone
+        edges, table = np.array(bp), np.array(vals + (tail,))
+        edges.flags.writeable = table.flags.writeable = False
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_table", table)
 
     @elementwise
     def __call__(self, f):
-        table = np.asarray(self.values + (self.tail_value,))
-        return table[np.searchsorted(self.breakpoints, f, side="right")]
+        return self._table[np.searchsorted(self._edges, f, side="right")]
 
 
 def flat_window_variance(level: float, window: PulsedWindow) -> float:
@@ -187,31 +194,46 @@ _GL_SHIFTED.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
 @functools.cache
 def _lobe_table():
-    """Nodes u = k + (g + 1)/2 of every whole near-field lobe [k, k + 1],
-    GL16 then GL8, and their weights: half the GL weight times sinc^2(u).
+    """Nodes u = k + (g + 1)/2 of every whole near-field lobe [k, k + 1] and
+    their weights, half the GL weight times sinc^2(u), node-major: row i
+    holds rule node i (GL16 then GL8) of every lobe, lobe k in column k.
     Built on first use, so importing the package does not pay for it."""
-    nodes = np.arange(_N_LOBES)[:, None] + 0.5 * _GL_SHIFTED
-    weights = 0.5 * _GL_WEIGHTS * _sinc2(nodes)
+    nodes = 0.5 * _GL_SHIFTED[:, None] + np.arange(_N_LOBES)
+    weights = 0.5 * _GL_WEIGHTS[:, None] * _sinc2(nodes)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
+def _pairwise(rows):
+    """Column sums of 2^j rows in the order numpy's sum takes 8 or 16
+    contiguous terms: with a_i + a_(i+8) already formed for 16, it is
+    ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)), added to the 0.0 that
+    sum starts from (which only turns a -0.0 into 0.0)."""
+    while len(rows) > 1:
+        rows = rows[0::2] + rows[1::2]
+    return rows[0] + 0.0
+
+
 def _lobe_panels(s, t):
     """GL16 value and |GL16 - GL8| of the near-field integrand on each whole
-    lobe, from the table. The spectrum is called on at most _CHUNK_NODES
-    nodes at a time (341 lobes of 24 nodes), which keeps its 64 KiB
-    temporaries below glibc's 128 KiB threshold, past which a free trims
-    the heap; each chunk's values times the weights go into one
-    product array, whose GL16 and GL8 row sums are then taken once."""
+    lobe, from the table. The spectrum is called once per block of 8 table
+    rows (8000 nodes): half the GL16 rows, half again, then the GL8 rows.
+    Blocks stay below 8192 nodes: the spectrum's temporaries then stay
+    below 64 KiB, and what a call frees below glibc's 128 KiB trim
+    threshold, past which a free trims the heap and the next call faults
+    its pages back in. Each
+    block's values times the weights go into one product table, whose GL16
+    and GL8 sums are row adds over whole lobes, equal bit for bit to the
+    row sums numpy takes of the lobe-major table."""
     nodes, weights = _lobe_table()
     product = np.empty(nodes.shape)
-    step = _CHUNK_NODES // nodes.shape[1]
-    for c in range(0, _N_LOBES, step):
-        rows = slice(c, c + step)
-        vals = s((nodes[rows] / t).ravel()).reshape(-1, nodes.shape[1])
+    block = nodes.shape[0] - _N_FINE  # 8 rows: the GL8 rule's, half the GL16's
+    for r in range(0, nodes.shape[0], block):
+        rows = slice(r, r + block)
+        vals = s((nodes[rows] / t).ravel()).reshape(block, -1)
         np.multiply(vals, weights[rows], out=product[rows])
-    fine = product[:, :_N_FINE].sum(axis=1)
-    return fine, np.abs(fine - product[:, _N_FINE:].sum(axis=1))
+    fine = _pairwise(product[:block] + product[block:_N_FINE])
+    return fine, np.abs(fine - _pairwise(product[_N_FINE:]))
 
 
 def _gl_nodes(a, b):
@@ -264,18 +286,16 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
         elif u > _N_LOBES:
             far_bp.append(b)
             far_at.append(u)
-    whole = np.ones(_N_LOBES, dtype=bool)
-    whole[list(cut_edges)] = False
-    lobes = np.arange(float(_N_LOBES))[whole]
-    cut = [sorted(cut_edges[k]) for k in sorted(cut_edges)]
+    cut_lobes = sorted(cut_edges)
+    cut = [sorted(cut_edges[k]) for k in cut_lobes]
     cut_a = [lo for edges in cut for lo in edges[:-1]]
     cut_b = [hi for edges in cut for hi in edges[1:]]
     far_edges = sorted({*(k / 8 for k in range(9)), *(_N_LOBES / u for u in far_at)})
 
     # the generic panels as one set: the cut lobes' pieces (side 0), then the
     # far field's (side 1), so the first m nodes are the cut lobes'
-    a, b = np.array(cut_a + far_edges[:-1]), np.array(cut_b + far_edges[1:])
-    half, z = _gl_nodes(a, b)
+    gen_a, gen_b = np.array(cut_a + far_edges[:-1]), np.array(cut_b + far_edges[1:])
+    half, z = _gl_nodes(gen_a, gen_b)
     m, nf = len(cut_a) * _GL_SHIFTED.size, len(far_bp)
 
     # one spectrum call for everything outside the lobe table: the far-field
@@ -288,8 +308,10 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     # of the flat tail's series, and the boundary term of each jump beyond x
     # (4 pi^3 b T is a Python float, so it is inf beyond the float range
     # without a warning, and its term 0, as the exact term is to rounding)
-    jumps = np.abs(sv[:nf] - sv[nf : 2 * nf]) / [4.0 * np.pi**3 * u for u in far_at] / far_at
-    averaging_err = float(sv[2 * nf] / (4.0 * np.pi**4 * _N_LOBES**3) + np.sum(jumps))
+    averaging_err = float(sv[2 * nf] / (4.0 * np.pi**4 * _N_LOBES**3))
+    if nf:
+        jumps = np.abs(sv[:nf] - sv[nf : 2 * nf]) / [4.0 * np.pi**3 * u for u in far_at] / far_at
+        averaging_err += float(np.sum(jumps))
     sv = sv[2 * nf + 1 :]
     generic_fine, generic_err = _gl_sums(
         half, np.concatenate((integrand(0, z[:m], sv[:m]), integrand(1, z[m:], sv[m:])))
@@ -298,16 +320,16 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     # panel table (side, start, end, GL16 value, |GL16 - GL8| error): the
     # whole lobes, then the generic panels. A refinement overwrites the panel
     # it bisects with the left half and appends the right half, so the table
-    # has room for _MAX_REFINEMENTS more
+    # has room for _MAX_REFINEMENTS more. Only a bisection reads a panel's
+    # side and edges, so those columns are built for the first one
     fine, err = _lobe_panels(s, t)
-    n = lobes.size + a.size
-    side = np.zeros(n + _MAX_REFINEMENTS, dtype=np.int8)
-    side[lobes.size + len(cut_a) : n] = 1
-    start, end, value, error = (np.empty(side.size) for _ in range(4))
-    np.concatenate((lobes, a), out=start[:n])
-    np.concatenate((lobes + 1.0, b), out=end[:n])
-    np.concatenate((fine[whole], generic_fine), out=value[:n])
-    np.concatenate((err[whole], generic_err), out=error[:n])
+    if cut_lobes:
+        fine, err = np.delete(fine, cut_lobes), np.delete(err, cut_lobes)
+    n = fine.size + gen_a.size
+    value, error = np.empty(n + _MAX_REFINEMENTS), np.empty(n + _MAX_REFINEMENTS)
+    np.concatenate((fine, generic_fine), out=value[:n])
+    np.concatenate((err, generic_err), out=error[:n])
+    side = start = end = None
 
     # one running sum per column drives the convergence test. No bisection
     # reduces the lobe-average term: refuse at once when it alone exceeds the
@@ -326,7 +348,14 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
 
     halves = {}  # (side, start, end) of a panel: its halves' GL16 values, then errors
     while err_sum > _REL_TOL * abs(value_sum) and abs(value_sum) != 0.0:
-        if n == side.size:
+        if side is None:  # the first bisection: the side and edge columns
+            lobes = np.delete(np.arange(float(_N_LOBES)), cut_lobes)
+            side = np.zeros(value.size, dtype=np.int8)
+            side[lobes.size + len(cut_a) : n] = 1
+            start, end = np.empty(value.size), np.empty(value.size)
+            np.concatenate((lobes, gen_a), out=start[:n])
+            np.concatenate((lobes + 1.0, gen_b), out=end[:n])
+        if n == value.size:
             near = float(np.sum(error[:n][side[:n] == 0]))
             sources = {
                 "near field": near,

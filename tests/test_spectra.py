@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import types
@@ -79,6 +80,27 @@ def test_piecewise_validation():
         PiecewiseSpectrum(breakpoints=(1.0,), values=(1.0,), tail_value=0.0)
     with pytest.raises(ValueError):
         PiecewiseSpectrum(breakpoints=(1.0,), values=(1.0, 2.0), tail_value=1.0)
+
+
+def test_piecewise_lookup_arrays_are_built_once_and_are_not_fields():
+    p = PiecewiseSpectrum(breakpoints=[50e3, 1e6], values=[1, 0.5], tail_value=2)
+    assert [f.name for f in dataclasses.fields(p)] == ["breakpoints", "values", "tail_value"]
+    assert repr(p) == ("PiecewiseSpectrum(breakpoints=(50000.0, 1000000.0), values=(1.0, 0.5), "
+                       "tail_value=2.0)")
+    assert p == PiecewiseSpectrum((50e3, 1e6), (1.0, 0.5), 2.0)
+    assert hash(p) == hash(PiecewiseSpectrum((50e3, 1e6), (1.0, 0.5), 2.0))
+    # the lookup from the tuples on every call, as it was taken before the
+    # arrays were kept: the same segment and bits at and beside each edge
+    f = np.array([0.0, 5e-324, *np.nextafter(50e3, [0.0, np.inf]), 50e3,
+                  *np.nextafter(1e6, [0.0, np.inf]), 1e6, np.inf])
+    want = np.asarray(p.values + (p.tail_value,))[np.searchsorted(p.breakpoints, f, side="right")]
+    got = p(f)
+    assert got.tobytes() == want.tobytes()
+    got[:] = -1.0  # a call returns a fresh array
+    assert p(f).tobytes() == want.tobytes()
+    # replace builds the arrays anew from its fields
+    q = dataclasses.replace(p, values=(3.0, 4.0))
+    assert (q(1e3), q(60e3), q(2e6), p(1e3)) == (3.0, 4.0, 2.0, 1.0)
 
 
 def _scalar_disagreements(fn, xs):
