@@ -12,13 +12,13 @@ integrates in lobes and multiplies by T at the end, so T is never squared
 (T^2 leaves the float range for T below about 1e-154 or above 1e154).
 
 The integrand oscillates with period one lobe, which stalls generic adaptive
-quadrature, so the half-line is split at u = N (N = 1000 lobes, nu = x =
+quadrature, so the half-line is split at u = N (N = 500 lobes, nu = x =
 N/T). The near field u < N gets one panel per lobe [k, k+1]. Whole lobes
 take their nodes and weights from one table, built on first use: the
 Gauss-Legendre nodes of each lobe (the 16- and 8-point rules, written out)
 with sinc^2 there folded into the weights, exact to rounding because
 sin^2(pi (k + v)) = sin^2(pi v) keeps the sine's argument within pi/2. The
-table is node-major, 24 rows of 1000 lobes, so each lobe's sums are adds of
+table is node-major, 24 rows of 500 lobes, so each lobe's sums are adds of
 whole rows. The far field u > N takes the lobe-averaged kernel
 1/(2 pi^2 u^2) in w = N/u, where the integrand is S(x/w) / (2 pi^2 N) on
 (0, 1] (a node whose x/w is beyond the float range lies at +inf).
@@ -30,7 +30,7 @@ with the breakpoints beyond x as further edges (side 1, in w). A spectrum
 declares a handful of breakpoints, so their positions b T and the panel
 edges are worked out in Python floats, and a spectrum that declares none
 pays for no cut lobe or far jump. The lobe table is evaluated in blocks of
-8 rows, 8000 nodes a call; one spectrum call covers everything else (the
+12 rows, 6000 nodes a call; one spectrum call covers everything else (the
 far-field breakpoints, x and the nodes of the whole generic set), and the
 set's GL16 and GL8 sums are taken in one pass. One panel table holds the
 whole lobes, then the generic set; its side and edge columns are built
@@ -47,11 +47,15 @@ halves of each subtree panel are kept by (side, start, end), so the next
 two levels of bisection down that panel call the spectrum no more.
 So the spectrum is evaluated at nodes of panels that may never be
 bisected; they lie inside the integration range, so a value there that is
-not finite, or is negative, is refused like any other. The returned error
-adds what the lobe average drops: S(x) T / (4 pi^4 N^3) for the smooth far
-field and |dS| / (4 pi^3 T b^2) per jump dS at a b > x. No bisection
-reduces that term, so where it alone exceeds the tolerance the engine
-refuses at once.
+not finite, or is negative, is refused like any other.
+
+The lobe average misses sinc^2 - 1/(2 pi^2 u^2) = -cos(2 pi u) / (2 pi^2 u^2)
+beyond N. Above a jump dS at a breakpoint b > x that is dS C(b T), which
+_far_jump gives in closed form, so each distinct far breakpoint adds it to
+the value and its series remainder to the error. What stays is the smooth
+far field, S(x) T / (4 pi^4 N^3), which the returned error adds. No
+bisection reduces that term, so where it alone exceeds the tolerance the
+engine refuses at once.
 """
 
 from __future__ import annotations
@@ -75,10 +79,11 @@ __all__ = [
 ]
 
 _N_FINE = 16
-_N_LOBES = 1_000
+_N_LOBES = 500
 _REL_TOL = 1e-6
 _MAX_REFINEMENTS = 4000
 _LOOKAHEAD = 3
+_BLOCK_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -216,10 +221,11 @@ def _pairwise(rows):
 
 def _lobe_panels(s, t):
     """GL16 value and |GL16 - GL8| of the near-field integrand on each whole
-    lobe, from the table. The spectrum is called once per block of 8 table
-    rows (8000 nodes): half the GL16 rows, half again, then the GL8 rows.
-    Blocks stay below 8192 nodes: the spectrum's temporaries then stay
-    below 64 KiB, and what a call frees below glibc's 128 KiB trim
+    lobe, from the table. The spectrum is called once per block of table
+    rows, the rows divided by the fewest blocks of at most _BLOCK_NODES
+    nodes: for 24 rows of 500 lobes, two blocks of 12 rows (6000 nodes).
+    Blocks stay within 8192 nodes: the spectrum's temporaries then stay
+    within 64 KiB, and what a call frees below glibc's 128 KiB trim
     threshold, past which a free trims the heap and the next call faults
     its pages back in. Each
     block's values times the weights go into one product table, whose GL16
@@ -227,13 +233,36 @@ def _lobe_panels(s, t):
     row sums numpy takes of the lobe-major table."""
     nodes, weights = _lobe_table()
     product = np.empty(nodes.shape)
-    block = nodes.shape[0] - _N_FINE  # 8 rows: the GL8 rule's, half the GL16's
+    block = nodes.shape[0] // -(-nodes.size // _BLOCK_NODES)
     for r in range(0, nodes.shape[0], block):
         rows = slice(r, r + block)
-        vals = s((nodes[rows] / t).ravel()).reshape(block, -1)
+        vals = s((nodes[rows] / t).ravel()).reshape(-1, nodes.shape[1])
         np.multiply(vals, weights[rows], out=product[rows])
-    fine = _pairwise(product[:block] + product[block:_N_FINE])
+    fine = _pairwise(product[: _N_FINE // 2] + product[_N_FINE // 2 : _N_FINE])
     return fine, np.abs(fine - _pairwise(product[_N_FINE:]))
+
+
+def _far_jump(a):
+    """C(a) = int_a^inf (sinc^2(pi u) - 1 / (2 pi^2 u^2)) du, what the lobe
+    average misses above a unit jump at a > N lobes, and a bound of what its
+    series leaves out. With y = 2 pi a, the auxiliary functions of Si
+    (Abramowitz & Stegun 5.2.8-5.2.9, 5.2.34-5.2.35) give
+
+        C(a) = (sin y / y^2 - 2 cos y / y^3 - 6 sin y / y^4 + 24 cos y / y^5) / pi
+
+    and the first neglected pair, (120 / y^6 + 720 / y^7) / pi, bounds the
+    rest wherever y > 17. The sine and cosine are taken of 2 pi (a - rint a),
+    as in _sinc2, and the powers of y are those of r = 1 / y, which is 0
+    where y lies beyond the float range: both terms are 0 there, as the
+    exact ones are to rounding."""
+    r = 1.0 / (2.0 * math.pi * a)
+    if r == 0.0:
+        return 0.0, 0.0
+    phase = 2.0 * math.pi * math.remainder(a, 1.0)
+    sin, cos = math.sin(phase), math.cos(phase)
+    r2 = r * r
+    return (r2 * (sin - r * (2.0 * cos + r * (6.0 * sin - 24.0 * r * cos))) / math.pi,
+            r2 * r2 * r2 * (120.0 + 720.0 * r) / math.pi)
 
 
 def _gl_nodes(a, b):
@@ -277,15 +306,16 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     # breakpoints, so this runs on Python floats, in which b T beyond the
     # float range is inf without a warning: an edge at w = 0
     cut_edges = {}  # cut lobe k: its edges k, k + 1 and the breakpoints inside
-    far_bp, far_at = [], []
+    far = set()  # the distinct breakpoints beyond x, each a jump counted once
     for b in np.asarray(getattr(spectrum, "breakpoints", ()), dtype=float).ravel().tolist():
         u = b * float(t)
         if 0 < u < _N_LOBES and u != math.floor(u):
             k = math.floor(u)
             cut_edges.setdefault(k, {float(k), k + 1.0}).add(u)
         elif u > _N_LOBES:
-            far_bp.append(b)
-            far_at.append(u)
+            far.add(b)
+    far_bp = sorted(far)
+    far_at = [b * float(t) for b in far_bp]
     cut_lobes = sorted(cut_edges)
     cut = [sorted(cut_edges[k]) for k in cut_lobes]
     cut_a = [lo for edges in cut for lo in edges[:-1]]
@@ -304,14 +334,16 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
         far_bp + [math.nextafter(b, 0.0) for b in far_bp] + [x], nu(0, z[:m]), nu(1, z[m:])
     )))
 
-    # what the lobe average drops, beyond reach of refinement: the next term
-    # of the flat tail's series, and the boundary term of each jump beyond x
-    # (4 pi^3 b T is a Python float, so it is inf beyond the float range
-    # without a warning, and its term 0, as the exact term is to rounding)
-    averaging_err = float(sv[2 * nf] / (4.0 * np.pi**4 * _N_LOBES**3))
-    if nf:
-        jumps = np.abs(sv[:nf] - sv[nf : 2 * nf]) / [4.0 * np.pi**3 * u for u in far_at] / far_at
-        averaging_err += float(np.sum(jumps))
+    # what the lobe average misses beyond x: for each far jump dS, dS C(b T)
+    # in closed form, with its series remainder as error; the next term of
+    # the smooth far field's series stays as error, beyond reach of refinement
+    smooth_err = float(sv[2 * nf] / (4.0 * np.pi**4 * _N_LOBES**3))
+    far_value, jump_err = 0.0, []
+    for jump, u in zip((sv[:nf] - sv[nf : 2 * nf]).tolist(), far_at):
+        term, remainder = _far_jump(u)
+        far_value += jump * term
+        jump_err.append(abs(jump) * remainder)
+    averaging_err = smooth_err + sum(jump_err)
     sv = sv[2 * nf + 1 :]
     generic_fine, generic_err = _gl_sums(
         half, np.concatenate((integrand(0, z[:m], sv[:m]), integrand(1, z[m:], sv[m:])))
@@ -331,18 +363,19 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     np.concatenate((err, generic_err), out=error[:n])
     side = start = end = None
 
-    # one running sum per column drives the convergence test. No bisection
-    # reduces the lobe-average term: refuse at once when it alone exceeds the
-    # tolerance, even at the largest value the bisected error allows
-    value_sum, err_sum = float(value[:n].sum()), float(error[:n].sum())
+    # one running sum per column, plus the far jumps, drives the convergence
+    # test. No bisection reduces the lobe-average term: refuse at once when it
+    # alone exceeds the tolerance, even at the largest value the bisected
+    # error allows, naming its largest term
+    value_sum, err_sum = float(value[:n].sum()) + far_value, float(error[:n].sum())
     if averaging_err > _REL_TOL * (abs(value_sum) + err_sum):
-        j = int(jumps.argmax()) if nf else None
+        j = max(range(nf), key=jump_err.__getitem__, default=None)
         raise RuntimeError(
             f"window-variance quadrature cannot reach the requested tolerance: the lobe "
             f"average beyond {x:.6g} Hz drops {t * averaging_err:.3g} against a variance "
             f"of {t * value_sum:.3g}, and no refinement reduces it; its largest term is "
-            + (f"the jump at {far_bp[j]:.6g} Hz ({far_at[j]:.6g} lobes)" if nf
-               else "the smooth far field")
+            + ("the smooth far field" if j is None or smooth_err >= jump_err[j]
+               else f"the jump at {far_bp[j]:.6g} Hz ({far_at[j]:.6g} lobes)")
         )
     err_sum += averaging_err
 
@@ -397,7 +430,7 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
         side[n], start[n], end[n], value[n], error[n] = k, mid, b, fine_b, err_b
         n += 1
 
-    return t * float(value[:n].sum()), t * (float(error[:n].sum()) + averaging_err)
+    return t * (float(value[:n].sum()) + far_value), t * (float(error[:n].sum()) + averaging_err)
 
 
 def pulsed_variance(spectrum, window: PulsedWindow) -> float:

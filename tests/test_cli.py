@@ -167,17 +167,17 @@ def test_pulsed_model_requires_feedback_clamp(tmp_path, capsys):
     assert doc["improvement_factor"] > 1.0
 
 
-def test_pulsed_refuses_a_far_jump_without_clamp_advice(tmp_path, capsys):
-    # the jump's lobe-average term alone exceeds the tolerance, which no
-    # bisection changes, so the command exits at once and blames no divergence
+def test_pulsed_adds_a_far_jump_in_closed_form(tmp_path, capsys):
+    # a jump beyond the near field, at 1001 lobes: with its closed-form term
+    # the value lies within 1e-9 of the sine integral's
     inline = '{"breakpoints":[1007482.3070055916],"values":[0.0625],"tail_value":4.0}'
     assert run("--out", tmp_path, "pulsed", "--piecewise", inline,
-               "--T", 0.0009935658353893498) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("numerical error: window-variance quadrature cannot reach")
-    assert "the jump at 1.00748e+06 Hz (1001 lobes)" in err and "clamp" not in err
-    assert not (tmp_path / "pulsed_report.json").exists()
+               "--T", 0.0009935658353893498) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((tmp_path / "pulsed_report.json").read_text())
+    jsonschema.validate(doc, schema("pulsed_report.schema.json"))
+    assert doc["pulsed_variance"] == pytest.approx(3.12469269696423e-05, rel=1e-9)
+    assert doc["quadrature_error"] <= 1e-6 * doc["pulsed_variance"]
 
 
 def test_pulsed_long_window_on_clamped_model(tmp_path):
@@ -212,13 +212,13 @@ def test_pulsed_figures_are_fixed_point_only_where_it_reads(x, shown):
 
 @pytest.mark.parametrize("mode", ["plus", "minus"])
 def test_pulsed_model_at_a_window_reaching_past_float_squares(tmp_path, capsys, mode):
-    # the near field runs to 1000 / T = 1e173 Hz, where S = 1
+    # the near field runs to 500 / T = 5e172 Hz, where S = 1
     assert run("--out", tmp_path, "pulsed", "--model", mode, "--assume-feedback",
                "--T", 1e-170) == 0
     assert "improvement factor  : 1.000000" in capsys.readouterr().out
 
 
-# 5e-324 is positive, but 1000 / T, where the near field ends, overflows
+# 5e-324 is positive, but 500 / T, where the near field ends, overflows
 @pytest.mark.parametrize("t", ["inf", "nan", "0", "-1e-6", "5e-324"])
 def test_pulsed_rejects_window_that_is_not_finite_and_positive(tmp_path, capsys, t):
     assert run("--out", tmp_path, "pulsed", "--example", f"--T={t}") == 2
