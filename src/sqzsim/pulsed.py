@@ -12,32 +12,37 @@ integrates in lobes and multiplies by T at the end, so T is never squared
 (T^2 leaves the float range for T below about 1e-154 or above 1e154).
 
 The integrand oscillates with period one lobe, which stalls generic adaptive
-quadrature, so the half-line is split at u = N (N = 500 lobes, nu = x =
+quadrature, so the half-line is split at u = N (N = 250 lobes, nu = x =
 N/T). The near field u < N gets one panel per lobe [k, k+1]. Whole lobes
 take their nodes and weights from one table, built on first use: the
 Gauss-Legendre nodes of each lobe (the 16- and 8-point rules, written out)
 with sinc^2 there folded into the weights, exact to rounding because
 sin^2(pi (k + v)) = sin^2(pi v) keeps the sine's argument within pi/2. The
-table is node-major, 24 rows of 500 lobes, so each lobe's sums are adds of
+table is node-major, 24 rows of 250 lobes, so each lobe's sums are adds of
 whole rows. The far field u > N takes the lobe-averaged kernel
 1/(2 pi^2 u^2) in w = N/u, where the integrand is S(x/w) / (2 pi^2 N) on
 (0, 1] (a node whose x/w is beyond the float range lies at +inf).
 
 Every other panel is generic, and the generic panels are one set: first the
 pieces of each lobe that a spectrum breakpoint falls inside, between its
-sorted distinct edges (side 0, in u), then the far field in eighths of w,
-with the breakpoints beyond x as further edges (side 1, in w). A spectrum
-declares a handful of breakpoints, so their positions b T and the panel
-edges are worked out in Python floats, and a spectrum that declares none
-pays for no cut lobe or far jump. The lobe table is evaluated in blocks of
-12 rows, 6000 nodes a call; one spectrum call covers everything else (the
-far-field breakpoints, x and the nodes of the whole generic set), and the
-set's GL16 and GL8 sums are taken in one pass. One panel table holds the
-whole lobes, then the generic set; its side and edge columns are built
-only when a panel is first bisected. Its worst panel, the first row of any
-tied for the largest error, is bisected until the summed estimate (16
-nodes, checked against 8) meets the relative tolerance. Its row takes the
-left half in place, the right half is appended as a new row, and one
+sorted distinct edges (side 0, in u), then the far field (side 1, in w),
+graded towards w = 0: its eighths, with the first eighth halved twelve
+times down to 1/8 2^-12, so that a spectrum's features far above x (such
+as the OPO Lorentzian for T of a millisecond and more) meet panels their
+own width, and with the breakpoints beyond x as further edges. Each
+breakpoint is classed once, against x in Hz: below x it may cut a lobe,
+beyond x it is a far jump, and at x it is neither, as the far field starts
+at S(x). A spectrum declares a handful of breakpoints, so their positions
+b T and the panel edges are worked out in Python floats, and a spectrum
+that declares none pays for no cut lobe or far jump. An evaluation that
+needs no bisection calls the spectrum once: the far-field breakpoints, x
+and the nodes of the generic set first, then the 6000 nodes of the lobe
+table; the set's GL16 and GL8 sums are taken in one pass. One panel table
+holds the whole lobes, then the generic set; its side and edge columns are
+built only when a panel is first bisected. Its worst panel, the first row
+of any tied for the largest error, is bisected until the summed estimate
+(16 nodes, checked against 8) meets the relative tolerance. Its row takes
+the left half in place, the right half is appended as a new row, and one
 running sum per column changes by the halves' difference; the result sums
 the table's columns in table order. A bisection whose halves are not known
 yet looks ahead: the panel's bisection subtree, three levels deep (14
@@ -50,12 +55,13 @@ bisected; they lie inside the integration range, so a value there that is
 not finite, or is negative, is refused like any other.
 
 The lobe average misses sinc^2 - 1/(2 pi^2 u^2) = -cos(2 pi u) / (2 pi^2 u^2)
-beyond N. Above a jump dS at a breakpoint b > x that is dS C(b T), which
-_far_jump gives in closed form, so each distinct far breakpoint adds it to
-the value and its series remainder to the error. What stays is the smooth
-far field, S(x) T / (4 pi^4 N^3), which the returned error adds. No
-bisection reduces that term, so where it alone exceeds the tolerance the
-engine refuses at once.
+beyond N. For a spectrum flat from x on that is S(x) C(N), and above a jump
+dS at a breakpoint b > x it is dS C(b T), both of which _far_jump gives in
+closed form: the value adds each, and the error each jump's series
+remainder. For what the spectrum's own variation above x makes of that
+kernel, the error adds the size of the smooth term, S(x) T / (4 pi^4 N^3).
+No bisection reduces these errors, so where they alone exceed the
+tolerance the engine refuses at once.
 """
 
 from __future__ import annotations
@@ -79,11 +85,13 @@ __all__ = [
 ]
 
 _N_FINE = 16
-_N_LOBES = 500
+_N_LOBES = 250
 _REL_TOL = 1e-6
 _MAX_REFINEMENTS = 4000
 _LOOKAHEAD = 3
-_BLOCK_NODES = 8192
+# the far field's panel edges in w: 0, the first eighth halved twelve times,
+# then the eighths
+_FAR_EDGES = (0.0, *(0.125 * 2.0**-j for j in range(12, 0, -1)), *(k / 8 for k in range(1, 9)))
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,7 @@ class PulsedWindow:
 
     def __post_init__(self):
         in_domain("duration", self.duration, "(0, inf)")
-        if not np.isfinite(_N_LOBES / self.duration):
+        if not math.isfinite(_N_LOBES / float(self.duration)):
             raise ValueError(
                 f"window duration {self.duration} s is too short: the near field "
                 f"ends at {_N_LOBES} / T, which overflows"
@@ -219,25 +227,12 @@ def _pairwise(rows):
     return rows[0] + 0.0
 
 
-def _lobe_panels(s, t):
+def _lobe_panels(product):
     """GL16 value and |GL16 - GL8| of the near-field integrand on each whole
-    lobe, from the table. The spectrum is called once per block of table
-    rows, the rows divided by the fewest blocks of at most _BLOCK_NODES
-    nodes: for 24 rows of 500 lobes, two blocks of 12 rows (6000 nodes).
-    Blocks stay within 8192 nodes: the spectrum's temporaries then stay
-    within 64 KiB, and what a call frees below glibc's 128 KiB trim
-    threshold, past which a free trims the heap and the next call faults
-    its pages back in. Each
-    block's values times the weights go into one product table, whose GL16
-    and GL8 sums are row adds over whole lobes, equal bit for bit to the
-    row sums numpy takes of the lobe-major table."""
-    nodes, weights = _lobe_table()
-    product = np.empty(nodes.shape)
-    block = nodes.shape[0] // -(-nodes.size // _BLOCK_NODES)
-    for r in range(0, nodes.shape[0], block):
-        rows = slice(r, r + block)
-        vals = s((nodes[rows] / t).ravel()).reshape(-1, nodes.shape[1])
-        np.multiply(vals, weights[rows], out=product[rows])
+    lobe, from the product table: the spectrum's values at the lobe table's
+    nodes times its weights. The GL16 and GL8 sums are row adds over whole
+    lobes, equal bit for bit to the row sums numpy takes of the lobe-major
+    table."""
     fine = _pairwise(product[: _N_FINE // 2] + product[_N_FINE // 2 : _N_FINE])
     return fine, np.abs(fine - _pairwise(product[_N_FINE:]))
 
@@ -302,25 +297,27 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
 
     # whole lobes come from the table; a lobe with a breakpoint inside is cut
     # there into generic panels, and breakpoints beyond x are far-field panel
-    # edges, besides the eighths of w. A spectrum declares a handful of
-    # breakpoints, so this runs on Python floats, in which b T beyond the
-    # float range is inf without a warning: an edge at w = 0
+    # edges, besides the graded ones. Each breakpoint is classed once,
+    # against x in Hz, as b T rounds: one at x is neither a cut nor a jump,
+    # and the w edge of one beyond x is at most 1. A spectrum declares a
+    # handful of breakpoints, so this runs on Python floats, in which b T
+    # beyond the float range is inf without a warning: an edge at w = 0
     cut_edges = {}  # cut lobe k: its edges k, k + 1 and the breakpoints inside
     far = set()  # the distinct breakpoints beyond x, each a jump counted once
     for b in np.asarray(getattr(spectrum, "breakpoints", ()), dtype=float).ravel().tolist():
         u = b * float(t)
-        if 0 < u < _N_LOBES and u != math.floor(u):
+        if b > x:
+            far.add(b)
+        elif b < x and 0 < u < _N_LOBES and u != math.floor(u):
             k = math.floor(u)
             cut_edges.setdefault(k, {float(k), k + 1.0}).add(u)
-        elif u > _N_LOBES:
-            far.add(b)
     far_bp = sorted(far)
-    far_at = [b * float(t) for b in far_bp]
+    far_at = [max(b * float(t), _N_LOBES) for b in far_bp]
     cut_lobes = sorted(cut_edges)
     cut = [sorted(cut_edges[k]) for k in cut_lobes]
     cut_a = [lo for edges in cut for lo in edges[:-1]]
     cut_b = [hi for edges in cut for hi in edges[1:]]
-    far_edges = sorted({*(k / 8 for k in range(9)), *(_N_LOBES / u for u in far_at)})
+    far_edges = sorted({*_FAR_EDGES, *(_N_LOBES / u for u in far_at)})
 
     # the generic panels as one set: the cut lobes' pieces (side 0), then the
     # far field's (side 1), so the first m nodes are the cut lobes'
@@ -328,23 +325,29 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     half, z = _gl_nodes(gen_a, gen_b)
     m, nf = len(cut_a) * _GL_SHIFTED.size, len(far_bp)
 
-    # one spectrum call for everything outside the lobe table: the far-field
-    # breakpoints and the floats just below them, x, then the generic nodes
+    # one spectrum call for all of it: the far-field breakpoints and the
+    # floats just below them, x, the generic nodes, then the lobe table's
+    nodes, weights = _lobe_table()
     sv = s(np.concatenate((
-        far_bp + [math.nextafter(b, 0.0) for b in far_bp] + [x], nu(0, z[:m]), nu(1, z[m:])
+        far_bp + [math.nextafter(b, 0.0) for b in far_bp] + [x], nu(0, z[:m]), nu(1, z[m:]),
+        (nodes / t).ravel(),
     )))
 
-    # what the lobe average misses beyond x: for each far jump dS, dS C(b T)
-    # in closed form, with its series remainder as error; the next term of
-    # the smooth far field's series stays as error, beyond reach of refinement
-    smooth_err = float(sv[2 * nf] / (4.0 * np.pi**4 * _N_LOBES**3))
-    far_value, jump_err = 0.0, []
+    # what the lobe average misses beyond x, in closed form: S(x) C(N) for
+    # the spectrum's level there, and dS C(b T) for each far jump dS, with
+    # its series remainder as error. The smooth term's size stays as error,
+    # for what the spectrum's variation above x makes of it, beyond reach of
+    # refinement
+    level = float(sv[2 * nf])  # S(x)
+    smooth_err = level / (4.0 * np.pi**4 * _N_LOBES**3)
+    far_value, jump_err = level * _far_jump(_N_LOBES)[0], []
     for jump, u in zip((sv[:nf] - sv[nf : 2 * nf]).tolist(), far_at):
         term, remainder = _far_jump(u)
         far_value += jump * term
         jump_err.append(abs(jump) * remainder)
     averaging_err = smooth_err + sum(jump_err)
-    sv = sv[2 * nf + 1 :]
+    table_sv = sv[sv.size - nodes.size :].reshape(nodes.shape)
+    sv = sv[2 * nf + 1 : sv.size - nodes.size]
     generic_fine, generic_err = _gl_sums(
         half, np.concatenate((integrand(0, z[:m], sv[:m]), integrand(1, z[m:], sv[m:])))
     )
@@ -354,7 +357,7 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     # it bisects with the left half and appends the right half, so the table
     # has room for _MAX_REFINEMENTS more. Only a bisection reads a panel's
     # side and edges, so those columns are built for the first one
-    fine, err = _lobe_panels(s, t)
+    fine, err = _lobe_panels(table_sv * weights)
     if cut_lobes:
         fine, err = np.delete(fine, cut_lobes), np.delete(err, cut_lobes)
     n = fine.size + gen_a.size
@@ -363,10 +366,10 @@ def pulsed_variance_with_error(spectrum, window: PulsedWindow) -> tuple[float, f
     np.concatenate((err, generic_err), out=error[:n])
     side = start = end = None
 
-    # one running sum per column, plus the far jumps, drives the convergence
-    # test. No bisection reduces the lobe-average term: refuse at once when it
-    # alone exceeds the tolerance, even at the largest value the bisected
-    # error allows, naming its largest term
+    # one running sum per column, plus the far-field terms, drives the
+    # convergence test. No bisection reduces the lobe-average term: refuse at
+    # once when it alone exceeds the tolerance, even at the largest value the
+    # bisected error allows, naming its largest term
     value_sum, err_sum = float(value[:n].sum()) + far_value, float(error[:n].sum())
     if averaging_err > _REL_TOL * (abs(value_sum) + err_sum):
         j = max(range(nf), key=jump_err.__getitem__, default=None)

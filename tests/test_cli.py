@@ -212,13 +212,13 @@ def test_pulsed_figures_are_fixed_point_only_where_it_reads(x, shown):
 
 @pytest.mark.parametrize("mode", ["plus", "minus"])
 def test_pulsed_model_at_a_window_reaching_past_float_squares(tmp_path, capsys, mode):
-    # the near field runs to 500 / T = 5e172 Hz, where S = 1
+    # the near field runs to 250 / T = 2.5e172 Hz, where S = 1
     assert run("--out", tmp_path, "pulsed", "--model", mode, "--assume-feedback",
                "--T", 1e-170) == 0
     assert "improvement factor  : 1.000000" in capsys.readouterr().out
 
 
-# 5e-324 is positive, but 500 / T, where the near field ends, overflows
+# 5e-324 is positive, but 250 / T, where the near field ends, overflows
 @pytest.mark.parametrize("t", ["inf", "nan", "0", "-1e-6", "5e-324"])
 def test_pulsed_rejects_window_that_is_not_finite_and_positive(tmp_path, capsys, t):
     assert run("--out", tmp_path, "pulsed", "--example", f"--T={t}") == 2

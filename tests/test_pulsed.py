@@ -1,7 +1,7 @@
 import functools
 import hashlib
 import math
-from unittest import mock
+import warnings
 
 import mpmath
 import numpy as np
@@ -32,10 +32,8 @@ from conftest import sweep_spectra
 
 T_1US = PulsedWindow(duration=1e-6)
 
-# the near field's lobes, and the lobe table's spectrum calls: its 24 rows of
-# N lobes in the fewest blocks of at most 8192 nodes
+# the near field's lobes
 N_LOBES = pulsed_module._N_LOBES
-TABLE_CALLS = -(-24 * N_LOBES // 8192)
 
 # 3 dB squeezed above a 50 kHz knee, shot-limited below
 EXAMPLE = PiecewiseSpectrum(breakpoints=(50e3,), values=(1.0,), tail_value=10 ** (-3 / 10))
@@ -198,17 +196,20 @@ def test_window_validation():
         with pytest.raises(ValueError, match=r"duration must lie in \(0, inf\)"):
             PulsedWindow(duration=bad)
     # the near field ends at N / T, which must be a float
-    for short in (5e-324, float(N_LOBES / np.finfo(float).max) * (1 - 1e-15)):
-        with pytest.raises(ValueError, match="too short"):
+    # a numpy float too, which is refused without an overflow warning
+    for short in (5e-324, float(N_LOBES / np.finfo(float).max) * (1 - 1e-15),
+                  np.float64(5e-324)):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="too short"):
+            warnings.simplefilter("error")
             PulsedWindow(duration=short)
     for t in (N_LOBES / np.finfo(float).max * (1 + 1e-15), 1.0, np.finfo(float).max):
         PulsedWindow(duration=t)
 
 
 # far-field quantities beyond the float range are inf, without a warning: at
-# T = 1e-304 s, x = 5e306 Hz and the nodes nearest w = 0 lie above the largest
-# float, where EXAMPLE takes its tail level; at T = 0.1 s a jump at 1e308 Hz
-# lies at 1e307 lobes, where its closed-form term and remainder are 0
+# T = 1e-304 s, x = 2.5e306 Hz and the nodes nearest w = 0 lie above the
+# largest float, where EXAMPLE takes its tail level; at T = 0.1 s a jump at
+# 1e308 Hz lies at 1e307 lobes, where its closed-form term and remainder are 0
 @pytest.mark.parametrize("spectrum, t, ratio", [
     (EXAMPLE, 1e-304, 10**-0.3),
     (PiecewiseSpectrum(breakpoints=(1e308,), values=(1.0,), tail_value=0.5), 0.1, 1.0),
@@ -242,7 +243,9 @@ def _opo_wiener_khinchin(t):
             t / k + mpmath.expm1(-k * t) / k**2)
 
 
-@pytest.mark.parametrize("t", ORACLE_WINDOWS)
+# and on windows of 0.1 to 10 s, where x = N / T lies far below the OPO
+# Lorentzian, which the graded far field resolves
+@pytest.mark.parametrize("t", [*ORACLE_WINDOWS, 0.1, 1.0, 10.0])
 def test_opo_term_matches_wiener_khinchin_closed_form(t):
     opo = OpoParams()
     exact = float(_opo_wiener_khinchin(t))
@@ -348,8 +351,11 @@ windows = st.floats(1e-8, 1e-3).map(PulsedWindow)
 )
 @example(PulsedWindow(2.0**-20), [3.5, 7.25, 7.75, 2500.25], [1.0, 0.3, 2.0, 0.5, 0.6])
 # a jump of 3.9375 at 1001 lobes, beyond x: its closed-form term brings the
-# value within 4.1e-11 of the sine integral, against an error of 4.4e-11
+# value onto the sine integral, against an error of 3.3e-10 of it
 @example(PulsedWindow(0.0009935658353893498), [1001.0], [0.0625, 1.0, 1.0, 1.0, 4.0])
+# a breakpoint at x = N / T in Hz, whose b T rounds above N = 250 lobes: the
+# far field starts at S(x), the upper level, so the jump counts only once
+@example(PulsedWindow(2.1e-7), [250.0], [1.0, 1.0, 1.0, 1.0, 1e-3])
 def test_piecewise_spectra_are_within_their_error_of_the_sine_integral(window, lobes_at, levels):
     # breakpoints placed in lobes (b T): inside and on the edges of
     # near-field lobes and beyond x, where they are far-field panel edges
@@ -388,6 +394,8 @@ class _Declared:
 @example(PulsedWindow(2.0**-20), [3.25, 3.75, 3.5])
 @example(PulsedWindow(2.0**-20), [4.5, 3.5, 5.25])
 @example(PulsedWindow(2.0**-20), [3.0, 3.5, N_LOBES, 2 * N_LOBES, 2500.25, 2500.25])
+# a breakpoint at x = N / T in Hz, whose b T rounds above N = 250 lobes
+@example(PulsedWindow(5.5527078968118224e-05), [1.0, 2.0, 250.0])
 def test_declared_breakpoints_in_any_container_order_or_repeat(window, lobes_at):
     # a tuple, a list and an array of the same breakpoints give the same
     # bits and spectrum calls, within the returned error of the closed form
@@ -400,8 +408,8 @@ def test_declared_breakpoints_in_any_container_order_or_repeat(window, lobes_at)
     _assert_within_its_error(spectrum, window, _sine_integral_closed_form(spectrum.inner, t))
 
 
-# at T = 10 s, x = 100 Hz: 1e308 Hz lies at b T = 1e309, beyond the float
-# range, so at w = 0, beside a cut at 522.5 lobes and a whole lobe at 525
+# at T = 10 s, x = 25 Hz: 1e308 Hz lies at b T = 1e309, beyond the float
+# range, so at w = 0, beside far breakpoints at 522.5 and 525 lobes
 def test_a_breakpoint_beyond_the_float_range_in_lobes():
     spectrum = _Declared((1e308, 52.25, 52.5))
     assert 1e308 * 10.0 == math.inf
@@ -503,7 +511,7 @@ def test_a_peak_beside_a_cut_or_far_breakpoint_matches_the_lorentzian_closed_for
     value, err = pulsed_variance_with_error(spectrum, PulsedWindow(t))
     exact = t / 2 + 50 * float(_lorentzian_window(0, math.inf, spectrum.peak, spectrum.width, t))
     assert abs(value - exact) <= err
-    assert len(spectrum.calls) > TABLE_CALLS + 1  # the lobe table, the one call, bisections
+    assert len(spectrum.calls) > 1  # the one call, then bisections
 
 
 class _ReadOnly:
@@ -531,7 +539,7 @@ def test_the_engine_never_writes_a_spectrum_result():
     want = outcome(spectrum, PulsedWindow(t))
     got = outcome(_ReadOnly(spectrum), PulsedWindow(t))
     assert isinstance(got[0][0], str) and got == want
-    assert got[1] > TABLE_CALLS + 1  # the lobe table, the one call, bisections
+    assert got[1] > 1  # the one call, then bisections
 
 
 @functools.cache
@@ -697,16 +705,13 @@ _table_entries = st.one_of(
 @example(np.full((24, 2), -0.0))
 @example(np.array([[1.0, 1e16, -1e16, 3.0] * 6] * 4).T.copy())
 def test_lobe_sums_are_numpys_row_sums_of_the_lobe_major_table(product):
-    # the engine's sums over a node-major table, one column per lobe, from
-    # a spectrum that looks up each node's entry at weight 1. They must be
-    # the sums numpy takes of the GL16 and GL8 parts of each row of the
-    # lobe-major table, bit for bit; where a sum is NaN, only that it is
-    # (which NaN an add returns depends on the order of its operands)
-    nodes = np.arange(product.size, dtype=float).reshape(product.shape)
-    table = (nodes, np.ones(product.shape))
-    with mock.patch.object(pulsed_module, "_lobe_table", lambda: table), \
-            np.errstate(all="ignore"):
-        got = _lobe_panels(lambda nu: product.ravel()[nu.astype(np.intp)], 1.0)
+    # the engine's sums over a node-major product table, one column per
+    # lobe. They must be the sums numpy takes of the GL16 and GL8 parts of
+    # each row of the lobe-major table, bit for bit; where a sum is NaN, only
+    # that it is (which NaN an add returns depends on the order of its
+    # operands)
+    with np.errstate(all="ignore"):
+        got = _lobe_panels(product)
         rows = np.ascontiguousarray(product.T)
         fine = rows[:, :16].sum(axis=1)
         want = fine, np.abs(fine - rows[:, 16:].sum(axis=1))
@@ -738,69 +743,69 @@ def test_gauss_legendre_constants_are_leggauss_bit_for_bit():
 # that host, differ.
 FROZEN_SWEEP = {
     "piecewise": (
-        ("0x1.58c18ae92514cp-29", "0x1.07182a729b868p-63"),
-        ("0x1.1123b82622137p-27", "0x1.9fd116f3ad768p-62"),
-        ("0x1.b2cd1be8b5446p-26", "0x1.4851b2b560747p-60"),
-        ("0x1.5f0fecdb9fdf4p-24", "0x1.029f67130aa57p-58"),
-        ("0x1.27c78573cc410p-22", "0x1.9589b99bb45bap-57"),
-        ("0x1.15dedf91d0945p-20", "0x1.3d9900c833ea9p-55"),
-        ("0x1.29aab3249be67p-18", "0x1.f570dddf67b19p-54"),
-        ("0x1.010d2202f4470p-16", "0x1.9b1aa020f599dp-52"),
-        ("0x1.9f3302d8feaecp-15", "0x1.4fa7e25327913p-50"),
-        ("0x1.4a89f54596542p-13", "0x1.0df93994b3af4p-48"),
-        ("0x1.05e1080579f26p-11", "0x1.aebb85743b2fdp-47"),
+        ("0x1.58c18ae8e8568p-29", "0x1.eaf3cb17c6007p-61"),
+        ("0x1.1123b825f20dep-27", "0x1.841c423393ed5p-59"),
+        ("0x1.b2cd1be86956ap-26", "0x1.32c6cea39f81dp-57"),
+        ("0x1.5f0fecdb63d84p-24", "0x1.e4d280ef28777p-56"),
+        ("0x1.27c785739ccc6p-22", "0x1.7edcf593a6db8p-54"),
+        ("0x1.15dedf91ab100p-20", "0x1.2e4dc893861e2p-52"),
+        ("0x1.29aab3247e3d8p-18", "0x1.dde4c9b4295a4p-51"),
+        ("0x1.010d2202dcd45p-16", "0x1.7ba4a69d3e3c5p-49"),
+        ("0x1.9f3302d8d99bap-15", "0x1.2d7729058ab0bp-47"),
+        ("0x1.4a89f5457904bp-13", "0x1.ddcff5a494572p-46"),
+        ("0x1.05e1080562c67p-11", "0x1.7a3a289876943p-44"),
     ),
     "flat": (
-        ("0x1.5798ee23455d2p-28", "0x1.0685893296a07p-62"),
-        ("0x1.0fa3389d9e9c8p-26", "0x1.9f15484ed1039p-61"),
-        ("0x1.ad7f29ac16b45p-25", "0x1.4826eb7f3c489p-59"),
-        ("0x1.538c06c50643ap-23", "0x1.036d4d3142a24p-57"),
-        ("0x1.0c6f7a0b8e30bp-21", "0x1.9a30a65f0b5abp-56"),
-        ("0x1.a86f087647d48p-20", "0x1.4448a07d934adp-54"),
-        ("0x1.4f8b588e71bcep-18", "0x1.005e67fb6718bp-52"),
-        ("0x1.09456549ece4dp-16", "0x1.955ac89cf81d8p-51"),
-        ("0x1.a36e2eb20e2c3p-15", "0x1.407601fa40deep-49"),
-        ("0x1.4b96be9c681e1p-13", "0x1.fab17ac43624ep-48"),
-        ("0x1.0624dd2f48db9p-11", "0x1.90938278d116ap-46"),
+        ("0x1.5798ee2308c39p-28", "0x1.e9cd4c241f2ebp-60"),
+        ("0x1.0fa3389d6eb3fp-26", "0x1.8338f18a71e04p-58"),
+        ("0x1.ad7f29abcaf46p-25", "0x1.32204f96937d3p-56"),
+        ("0x1.538c06c4ca60fp-23", "0x1.e4072ded0e585p-55"),
+        ("0x1.0c6f7a0b5ed8cp-21", "0x1.7ea8637c385c7p-53"),
+        ("0x1.a86f0875fcf92p-20", "0x1.2e847cb428f73p-51"),
+        ("0x1.4f8b588e368efp-18", "0x1.de527c5b46739p-50"),
+        ("0x1.09456549be1bcp-16", "0x1.7a259be133351p-48"),
+        ("0x1.a36e2eb1c432bp-15", "0x1.2af38db90c084p-46"),
+        ("0x1.4b96be9c2da2bp-13", "0x1.d8af02d980024p-45"),
+        ("0x1.0624dd2f1a9fbp-11", "0x1.75b071274f0a5p-43"),
     ),
     "minus": (
-        ("0x1.4bd924a21930cp-29", "0x1.c5a2d5528a9cdp-51"),
-        ("0x1.a9d2f4af5ec1dp-28", "0x1.3916d8a348c11p-49"),
-        ("0x1.4ee971ca78737p-26", "0x1.0b8499a2b59ddp-49"),
-        ("0x1.30d12716b6eb3p-24", "0x1.853a360eae08fp-45"),
-        ("0x1.f0ca15f9b3735p-23", "0x1.e99cf0480ab60p-43"),
-        ("0x1.18f18be5714c7p-20", "0x1.ac45d828a5ae5p-41"),
-        ("0x1.331fc7ba8622dp-18", "0x1.08def5ed3c5eep-49"),
-        ("0x1.0213f135460afp-16", "0x1.03887979d85a9p-36"),
-        ("0x1.9fba386c8d650p-15", "0x1.d6148d968dfd6p-51"),
-        ("0x1.4aaa6c21ba834p-13", "0x1.55a0aa0e6fcacp-40"),
-        ("0x1.05e9caa6cb902p-11", "0x1.a8adc408c27b7p-38"),
+        ("0x1.4bd924a19ffc8p-29", "0x1.c676eaf4451abp-51"),
+        ("0x1.a9d2f4ae9f0bfp-28", "0x1.39be8135e469fp-49"),
+        ("0x1.4ee971c9e056cp-26", "0x1.0d967f59f624cp-49"),
+        ("0x1.30d127163a5fap-24", "0x1.85a261c4176a9p-45"),
+        ("0x1.f0ca15f8b4ea2p-23", "0x1.e9eb346dc682bp-43"),
+        ("0x1.18f18be4d2ac5p-20", "0x1.ac71fe2407634p-41"),
+        ("0x1.331fc7ba4f1fdp-18", "0x1.58178ca7683eep-49"),
+        ("0x1.0213f135338b0p-16", "0x1.038f532193571p-36"),
+        ("0x1.9fba386c75cdep-15", "0x1.9211e37ee56f9p-48"),
+        ("0x1.4aaa6c2146190p-13", "0x1.9ca62cb70a5b1p-40"),
+        ("0x1.05e9caa6530cap-11", "0x1.e0e7e8f59f479p-37"),
     ),
     "plus": (
-        ("0x1.4a856da5d28bdp-29", "0x1.5957739e22ce4p-52"),
-        ("0x1.a337d934f31cep-28", "0x1.8d231d4ead552p-48"),
-        ("0x1.3ef6fdf068ee1p-26", "0x1.f4722c278c340p-47"),
-        ("0x1.13dff681c1c5ap-24", "0x1.9e211b122d80dp-45"),
-        ("0x1.ebc3c6ef85e5dp-23", "0x1.5314122d0ed97p-43"),
-        ("0x1.17569ae1d34ecp-20", "0x1.7536afab47176p-41"),
-        ("0x1.32a974e0c04cdp-18", "0x1.ec0cc851cc617p-51"),
-        ("0x1.01f68fc828425p-16", "0x1.0bd4fd863f949p-38"),
-        ("0x1.9fab6650d3bf1p-15", "0x1.d5a23559b4af5p-51"),
-        ("0x1.4aa6b9b282615p-13", "0x1.5991a72b2e1fep-40"),
-        ("0x1.05e8dd681f299p-11", "0x1.970da8d17273bp-38"),
+        ("0x1.4a856da559578p-29", "0x1.5aff9ee197969p-52"),
+        ("0x1.a337d93433671p-28", "0x1.8d76f197fb065p-48"),
+        ("0x1.3ef6fdefd0d17p-26", "0x1.f4f6a5955bb10p-47"),
+        ("0x1.13dff681453a2p-24", "0x1.9e8946c791fbfp-45"),
+        ("0x1.ebc3c6ee875ccp-23", "0x1.53625652a3be0p-43"),
+        ("0x1.17569ae134aeap-20", "0x1.7562d5a570501p-41"),
+        ("0x1.32a974e089497p-18", "0x1.94773fe247389p-50"),
+        ("0x1.01f68fc815bf0p-16", "0x1.0bf0636181ae0p-38"),
+        ("0x1.9fab6650bb7cfp-15", "0x1.9134e2e1143e0p-48"),
+        ("0x1.4aa6b9b2474b3p-13", "0x1.74597252642a2p-40"),
+        ("0x1.05e8dd67b3b5fp-11", "0x1.933a3d03c9a91p-38"),
     ),
     "opo": (
-        ("0x1.1e1376bf55191p-29", "0x1.c22b62b12cd5ap-55"),
-        ("0x1.498dc6f121527p-28", "0x1.a904b7b8b58fbp-61"),
-        ("0x1.caa1303726943p-27", "0x1.3b7c36b9cd28cp-59"),
-        ("0x1.5af7e78f93866p-25", "0x1.eca45e5fd14e3p-58"),
-        ("0x1.0e6668f8c72a2p-23", "0x1.7e28965d4edeep-56"),
-        ("0x1.a996b6de5e8e2p-22", "0x1.0c35c000dda7cp-54"),
-        ("0x1.4ff838912c7a4p-20", "0x1.ec092a3846acap-54"),
-        ("0x1.097c3fa14cde1p-18", "0x1.caa9d706526fcp-53"),
-        ("0x1.a3b54d60b889ap-17", "0x1.4823b5ddcd17cp-51"),
-        ("0x1.4bcb113475fb8p-15", "0x1.54d2687a06579p-45"),
-        ("0x1.064d40c8c5625p-13", "0x1.b905b4ff1d69ep-38"),
+        ("0x1.1e1376bedbe4bp-29", "0x1.cf6cbc2ec14fap-55"),
+        ("0x1.498dc6f0619a1p-28", "0x1.84711ffd8e796p-58"),
+        ("0x1.caa13035f6359p-27", "0x1.305d9094d12f0p-56"),
+        ("0x1.5af7e78e994d2p-25", "0x1.ddf7bbdd628b1p-55"),
+        ("0x1.0e6668f7c0e3fp-23", "0x1.66a8c0cd6fe3dp-53"),
+        ("0x1.a996b6dbbc42fp-22", "0x1.8ff58ffffadfap-52"),
+        ("0x1.4ff8389052652p-20", "0x1.3da1b5225515ap-51"),
+        ("0x1.097c3fa110294p-18", "0x1.881f258ae6b0dp-50"),
+        ("0x1.a3b54d606c51ap-17", "0x1.2c3a7b6d31372p-48"),
+        ("0x1.4bcb11343b555p-15", "0x1.d92389aacc67bp-47"),
+        ("0x1.064d40c6faa40p-13", "0x1.75ece774a664cp-45"),
     ),
 }
 
@@ -818,14 +823,14 @@ def test_sweep_values_and_errors_are_frozen_bit_for_bit(name):
 # calls_digest() over the 11 windows of each sweep spectrum, frozen like
 # FROZEN_SWEEP: a panel bisected in another order or at other nodes changes
 # the digest even where the bits come out the same. The flat, --example and
-# OPO spectra take no bisection, 3 calls per window, and flat and OPO are
+# OPO spectra take no bisection, 1 call per window, and flat and OPO are
 # called at the same frequencies
 FROZEN_SWEEP_CALLS = {
-    "piecewise": (33, "34aee83122a9483d"),
-    "flat": (33, "5b5063852f689f39"),
-    "minus": (64, "e48546591e053a84"),
-    "plus": (63, "17bbf2a33c58bfed"),
-    "opo": (33, "5b5063852f689f39"),
+    "piecewise": (11, "a9ebdb6d7d9b8fd2"),
+    "flat": (11, "c9bb478adb484b64"),
+    "minus": (42, "cdfd2bae10a1f4e2"),
+    "plus": (41, "490fe788abf8c50d"),
+    "opo": (11, "c9bb478adb484b64"),
 }
 
 
@@ -840,9 +845,9 @@ def test_sweep_points_call_the_spectrum_as_frozen(name):
 # one breakpoint, in lobes (b T) at T = 2^-20 s, where b T is exact: inside a
 # lobe, on a lobe edge, and beyond x = N / T; frozen like FROZEN_SWEEP
 FROZEN_BREAKPOINTS = {
-    3.5: ("0x1.fa0c1d1a0b2d4p-22", "0x1.e02792bab9067p-57"),
-    3.0: ("0x1.f91ef07daaaa9p-22", "0x1.e17b8f3ab9067p-57"),
-    2500.25: ("0x1.fffde00ea38ffp-22", "0x1.87300d697c43cp-56"),
+    3.5: ("0x1.fa0c1d19d4ff2p-22", "0x1.b7421b54a3067p-54"),
+    3.0: ("0x1.f91ef07d747c8p-22", "0x1.b76c9ae4a3067p-54"),
+    2500.25: ("0x1.fffde00e49431p-22", "0x1.6cee4e8053328p-53"),
 }
 
 
@@ -868,15 +873,15 @@ def _square_wave(period):
 # another panel, whose nodes change the digest of the spectrum calls even
 # where the result comes out the same
 FROZEN_TIES = {
-    (1e-7, 1e-6): (("0x1.0a8e1f49b7927p-20", "0x1.173f8af0e81b6p-40"), 407, "fdbb472bcb4fa849"),
-    (5e-9, 1e-7): (("0x1.abfd4d2d8b017p-24", "0x1.c044f51894b79p-44"), 233, "a051633b4a854546"),
+    (1e-7, 1e-6): (("0x1.0a8e1c4934d64p-20", "0x1.173fa76e5eb30p-40"), 476, "5f0faf7ff4d51610"),
+    (5e-9, 1e-7): (("0x1.abfd46941a8d8p-24", "0x1.c0a05f6b102eep-44"), 282, "a9edcdffaad19ef8"),
     (3.3e-6, 1e-6): (
         ("RuntimeError",
-         "window-variance quadrature did not reach the requested tolerance in 4508 panels; "
-         "the largest error left is in the near field: 9.4e-12 against a variance of "
+         "window-variance quadrature did not reach the requested tolerance in 4270 panels; "
+         "the largest error left is in the far field: 8.42e-12 against a variance of "
          "7.88e-07; if the spectrum diverges at low frequency, clamp it (e.g. with "
          "clamp_to_shot_below) to model a feedback-stabilized source"),
-        1497, "0e8521163e70cbc0"),
+        1393, "66fd51af5a79ee24"),
 }
 
 
@@ -912,15 +917,17 @@ def test_ties_broken_by_the_first_row_converge_within_their_error(period, t):
 
 def test_refinement_cap_names_the_largest_error_source():
     # a square wave with undeclared jumps every 0.15 lobes: each jump needs
-    # its own run of bisections, more than the refinement budget allows
-    with pytest.raises(RuntimeError, match=r"panels.*near field.*clamp"):
+    # its own run of bisections, more than the refinement budget allows. The
+    # far field beyond 250 lobes holds most of them, and at the cap its
+    # error left (8.4e-12) exceeds the near field's (6.1e-12)
+    with pytest.raises(RuntimeError, match=r"panels.*far field.*clamp"):
         pulsed_variance(_square_wave(3.3e-6), T_1US)
 
 
 def test_a_far_jump_is_added_in_closed_form_without_bisection():
     # a jump of 3.9375 at 1001 lobes, beyond x: the lobe average alone
-    # misses it by 3.2e-10 of the variance, and with the closed-form term the
-    # value lies 4.1e-11 from the sine integral, inside its error of 4.4e-11
+    # misses it by 3.2e-10 of the variance, and with the closed-form terms
+    # the value lands on the sine integral, inside its error of 3.3e-10
     spectrum = PiecewiseSpectrum((1007482.3070055916,), (0.0625,), 4.0)
     counting = _Counting(spectrum)
     window = PulsedWindow(0.0009935658353893498)
@@ -928,12 +935,12 @@ def test_a_far_jump_is_added_in_closed_form_without_bisection():
     exact = _sine_integral_closed_form(spectrum, window.duration)
     assert exact == pytest.approx(3.12469269696423e-05, rel=1e-14)
     assert abs(value - exact) <= min(err, 1e-9 * exact)
-    assert len(counting.calls) == 1 + TABLE_CALLS  # the one call and the lobe table
+    assert len(counting.calls) == 1  # the one call, lobe table included
 
 
 # spectra built so that the lobe-average term alone exceeds the tolerance, in
 # lobes (b T) at T = 2^-20 s: a level of 1 from x to 1.01 x over 1e-9
-# elsewhere, whose smooth far-field term S(x) T / (4 pi^4 N^3) is 2e-5 of the
+# elsewhere, whose smooth far-field term S(x) T / (4 pi^4 N^3) is 8e-5 of the
 # variance; and a spike of 1e20 one float wide at 600 lobes, whose two jumps'
 # closed-form terms nearly cancel but whose remainder bounds add
 @pytest.mark.parametrize("breakpoints, values, tail, largest", [
@@ -952,7 +959,7 @@ def test_a_lobe_average_no_bisection_can_help_is_refused_before_any(
         "window-variance quadrature cannot reach the requested tolerance: the lobe average "
         f"beyond {N_LOBES / t:.6g} Hz drops ")
     assert message.endswith(f", and no refinement reduces it; its largest term is {largest}")
-    assert len(counting.calls) == 1 + TABLE_CALLS  # no bisection
+    assert len(counting.calls) == 1  # no bisection
 
 
 def _far_jump_closed_form(a):
@@ -1001,17 +1008,18 @@ def test_far_jump_beyond_the_float_range_is_zero(a):
     (PiecewiseSpectrum(breakpoints=(50e3, 2.00025e9), values=(1.0, 0.5), tail_value=0.7),
      (2.00025e9,)),
 ])
-def test_one_spectrum_call_besides_the_lobe_table(spectrum, far_bp):
+def test_one_spectrum_call_without_bisection(spectrum, far_bp):
     counting = _Counting(spectrum)
     pulsed_variance_with_error(counting, T_1US)
-    # no refinement: one call for all but the lobe table, whose first points
-    # are the far-field breakpoints, the floats just below them, then x; then
-    # the blocks of the 24 x N table, each below 8192 nodes
-    assert len(counting.calls) == 1 + TABLE_CALLS
-    first = counting.calls[0]
+    # no refinement: one call, whose first points are the far-field
+    # breakpoints, the floats just below them, then x, and whose last are
+    # the 24 x N nodes of the lobe table, row by row
+    assert len(counting.calls) == 1
+    (points,) = counting.calls
     lead = np.concatenate((far_bp, np.nextafter(far_bp, 0.0), [N_LOBES / T_1US.duration]))
-    assert first[: lead.size].tobytes() == lead.tobytes()
-    assert [c.size for c in counting.calls[1:]] == [24 * N_LOBES // TABLE_CALLS] * TABLE_CALLS
+    assert points[: lead.size].tobytes() == lead.tobytes()
+    table = (_lobe_table()[0] / T_1US.duration).ravel()
+    assert points[points.size - table.size :].tobytes() == table.tobytes()
 
 
 class _Spiked:
